@@ -32,16 +32,20 @@ full-vector operations:
   land exactly as the one-at-a-time stream would.
 
 The plan is a cache, not part of the structure: it is rebuilt lazily
-whenever the index's structure version changes (live-key count, update
-counter, retrains, splits, root identity), and keys that reach a missing
-(``None``) child fall back to the scalar per-key walk, which materialises
+whenever the index's topology epoch moves (bulk load, full rebuild,
+subtree swap, leaf split — see :meth:`ChameleonIndex._plan_version`).
+Everything else leaves the plan valid. Writes, scalar or batched, land in
+the leaves' views of the plan store; a leaf whose storage a rehash
+replaced is marked *detached* and served by the scalar per-leaf logic
+until the next rebuild; keys that reach a missing (``None``) child take
+the scalar per-key walk, which re-reads the live pointer and materialises
 the empty leaf exactly as :meth:`ChameleonIndex._descend` would. The
-write executors refresh the cached version themselves after applying a
-batch, so write-heavy phases reuse one plan too; a leaf whose storage was
-replaced mid-batch (rehash) is marked *detached* and served scalar until
-the next rebuild, and a mid-batch split leaves the version stale so the
-next batch rebuilds. Only the index's current plan may execute writes —
-building a new plan rebinds the leaves' storage onto the new store.
+per-leaf state the fused probes depend on (``n_keys``, conflict degree,
+detached or not) is re-read before each fused op for exactly the leaves
+written outside the plan since its last op (see
+:meth:`BatchQueryPlan.sync_leaves`). Only the index's current plan may
+execute writes — building a new plan rebinds the leaves' storage onto the
+new store.
 
 Counter totals are identical to the scalar loop by construction; the
 equivalence tests in tests/test_batch_ops.py pin this property.
@@ -49,7 +53,7 @@ equivalence tests in tests/test_batch_ops.py pin this property.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -81,8 +85,10 @@ class BatchQueryPlan:
 
     The *topology* arrays are immutable; ``store_keys``/``store_values``
     are the live leaf storage (leaves hold views into them), and
-    ``leaf_n``/``leaf_cd``/``leaf_detached`` are maintained by the write
-    executors so one plan serves many read/write batches.
+    ``leaf_n``/``leaf_cd``/``leaf_detached`` mirror the live leaves: the
+    write executors maintain them for their own writes, and
+    :meth:`sync_leaves` re-reads them after writes made elsewhere, so one
+    plan serves every read/write batch until the topology changes.
     """
 
     __slots__ = (
@@ -107,11 +113,12 @@ class BatchQueryPlan:
         "leaf_n",
         "leaf_detached",
         "leaf_ebhs",
+        "leaf_ids",
         "store_keys",
         "store_values",
     )
 
-    version: tuple[int, ...]
+    version: int
     inners: list[InnerNode]
     leaves: list[LeafNode]
     node_low: np.ndarray
@@ -132,15 +139,37 @@ class BatchQueryPlan:
     leaf_n: np.ndarray
     leaf_detached: np.ndarray
     leaf_ebhs: "list[ErrorBoundedHash]"
+    leaf_ids: dict[int, int]
     store_keys: np.ndarray
     store_values: np.ndarray
 
-    def __init__(self, version: tuple[int, ...]) -> None:
+    def __init__(self, version: int) -> None:
         self.version = version
         self.inners: list[InnerNode] = []
         self.leaves: list[LeafNode] = []
         self.leaf_ebhs = []
         self.root_code = _HOLE
+
+    def sync_leaves(self, written: Iterable[LeafNode]) -> None:
+        """Re-read the live state of plan leaves written outside the plan.
+
+        Scalar and grouped writes land in the leaves directly: they change
+        a leaf's ``n_keys`` and conflict degree, and a rehash detaches it.
+        A stale conflict degree would make the probe window miss stored
+        keys, and a stale ``n_keys`` would move the insert load trigger.
+        ``written`` may hold leaves outside the plan; they are skipped.
+        """
+        ids = self.leaf_ids
+        store = self.store_keys
+        for leaf in written:
+            lid = ids.get(id(leaf))
+            if lid is None:
+                continue
+            e = leaf.ebh
+            self.leaf_n[lid] = e.n_keys
+            self.leaf_cd[lid] = e.conflict_degree
+            # A rehash swaps in new arrays: the leaf stops aliasing the store.
+            self.leaf_detached[lid] = e._keys.base is not store
 
     # -- raw primitives (counter-neutral) -------------------------------------
 
@@ -273,9 +302,9 @@ class BatchQueryPlan:
             lids = -cur[sel] - 1
             det = self.leaf_detached[lids]
             if det.any():
-                # A leaf that rehashed mid-batch no longer aliases the
-                # plan store; its keys run the live scalar probe instead
-                # (identical accounting, the descent is already charged).
+                # A rehashed leaf no longer aliases the plan store; its
+                # keys run the live scalar probe instead (identical
+                # accounting, the descent is already charged).
                 for i, lid in zip(sel[det].tolist(), lids[det].tolist()):
                     out[i] = self.leaves[lid].ebh.lookup(float(karr[i]))
                 keep = ~det
@@ -541,8 +570,6 @@ class BatchQueryPlan:
                 hole_parent[slow], hole_rank[slow], homes_full[slow],
                 all_lids[slow],
             )
-        else:
-            self.version = index._plan_version()
         return True
 
     def _insert_stream(
@@ -595,7 +622,6 @@ class BatchQueryPlan:
             stale_home = set()
         base_n = dict(n_d)
         blocked: set[int] = set()
-        plan_dirty = False
         # Local counter accumulators: flushed exactly once, including on
         # the duplicate-raise path, so totals match the scalar prefix.
         hops = 0
@@ -697,7 +723,6 @@ class BatchQueryPlan:
                         )
                         if split_done:
                             blocked.add(lid)
-                            plan_dirty = True
                             continue
                         e = leaves[lid].ebh
                         if rehash_done:
@@ -753,8 +778,6 @@ class BatchQueryPlan:
             if landed:
                 index._n += landed
                 index.updates_since_build += landed
-            if not plan_dirty:
-                self.version = index._plan_version()
 
     def delete(self, index: "ChameleonIndex", karr: np.ndarray) -> list[bool]:
         """Fused delete of a (duplicate-free) key vector.
@@ -828,7 +851,6 @@ class BatchQueryPlan:
             if removed_total:
                 index._n -= removed_total
                 index.updates_since_build += removed_total
-            self.version = index._plan_version()
             return out.tolist()
 
 
@@ -914,7 +936,7 @@ def _delete_from(
     return removed
 
 
-def build_plan(root: Node, version: tuple[int, ...]) -> BatchQueryPlan:
+def build_plan(root: Node, version: int) -> BatchQueryPlan:
     """Flatten ``root`` into a :class:`BatchQueryPlan` snapshot."""
     with obs_trace.span("plan.build") as sp:
         plan = _build_plan(root, version)
@@ -923,7 +945,7 @@ def build_plan(root: Node, version: tuple[int, ...]) -> BatchQueryPlan:
         return plan
 
 
-def _build_plan(root: Node, version: tuple[int, ...]) -> BatchQueryPlan:
+def _build_plan(root: Node, version: int) -> BatchQueryPlan:
     plan = BatchQueryPlan(version)
     inners = plan.inners
     leaves = plan.leaves
@@ -944,7 +966,7 @@ def _build_plan(root: Node, version: tuple[int, ...]) -> BatchQueryPlan:
         np.cumsum(fanouts[:-1], out=child_base[1:])
     table = np.zeros(int(fanouts.sum()) if ni else 0, dtype=np.int64)
     inner_ids = {id(n): i for i, n in enumerate(inners)}
-    leaf_ids = {id(n): i for i, n in enumerate(leaves)}
+    leaf_ids = plan.leaf_ids = {id(n): i for i, n in enumerate(leaves)}
     leaf_parent = np.full(nl, -1, dtype=np.int64)
     leaf_rank = np.zeros(nl, dtype=np.int64)
     for i, n in enumerate(inners):

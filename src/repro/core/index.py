@@ -90,9 +90,16 @@ class ChameleonIndex(BaseIndex):
         self.lock_manager = lock_manager
         self._root: Node | None = None
         self._n = 0
-        #: Lazily built flattened-tree snapshot for fused batch lookups;
-        #: invalidated by structure-version comparison (see batch_plan).
+        #: Lazily built flattened-tree snapshot for fused batch operations;
+        #: rebuilt when the topology epoch moves (see :meth:`_plan_version`).
         self._batch_plan: BatchQueryPlan | None = None
+        #: Bumped whenever nodes are added, removed, or re-hung: bulk load,
+        #: full rebuild, a subtree swap, and a leaf split.
+        self._topology_epoch = 0
+        #: Leaves written outside the plan executors while a plan exists;
+        #: the plan re-reads their state before its next op. Every write
+        #: path below that touches a leaf's EBH records the leaf here.
+        self._written_leaves: set[LeafNode] = set()
         #: Updates since the last full (re)construction — drives the
         #: DARE-triggered rebuild described in Section V's Limitations.
         self.updates_since_build = 0
@@ -106,6 +113,7 @@ class ChameleonIndex(BaseIndex):
         arr = np.asarray(key_list, dtype=np.float64)
         result = self.builder.build(arr, value_list, self.counters)
         self._root = result.root
+        self._topology_epoch += 1
         self._n = len(key_list)
         self.updates_since_build = 0
 
@@ -193,6 +201,8 @@ class ChameleonIndex(BaseIndex):
         off their critical path. Returns ``(landed_leaf, split, rehashed)``
         so batch executors can invalidate their plan state.
         """
+        if self._batch_plan is not None:
+            self._written_leaves.add(leaf)
         ebh = leaf.ebh
         split_done = False
         rehash_done = False
@@ -252,6 +262,8 @@ class ChameleonIndex(BaseIndex):
             leaf.update_count += 1
             self._n -= 1
             self.updates_since_build += 1
+            if self._batch_plan is not None:
+                self._written_leaves.add(leaf)
         return removed
 
     # -- batch operations --------------------------------------------------------------
@@ -420,6 +432,8 @@ class ChameleonIndex(BaseIndex):
                 leaf.update_count += removed
                 self._n -= removed
                 self.updates_since_build += removed
+                if self._batch_plan is not None:
+                    self._written_leaves.add(leaf)
 
         return visit
 
@@ -460,6 +474,8 @@ class ChameleonIndex(BaseIndex):
                     b -= 1
                 take = min(max(b, 0), total - pos)
                 if take > 0:
+                    if self._batch_plan is not None:
+                        self._written_leaves.add(leaf)
                     sub = idx_list[pos : pos + take]
                     before = ebh.n_keys
                     try:
@@ -591,33 +607,31 @@ class ChameleonIndex(BaseIndex):
             parent.children[rank] = node
         return node
 
-    def _plan_version(self) -> tuple[int, ...]:
-        """Structure version for the fused-lookup plan cache.
+    def _plan_version(self) -> int:
+        """Cache key of the fused batch plan: the topology epoch.
 
-        Every mutation path moves at least one component: inserts/deletes
-        bump ``updates_since_build`` (and ``_n``), leaf rehashes and
-        subtree/whole-tree rebuilds bump ``retrains``, leaf splits bump
-        ``splits``, and ``bulk_load`` swaps the root object itself.
-        Lookups never move any of them, so read-heavy phases reuse one
-        plan across every batch.
+        The plan flattens which nodes exist and where they hang, so only
+        the events that change that shape move the key — ``bulk_load``,
+        ``rebuild_all``, a ``rebuild_subtree`` swap, and a leaf split.
+        Writes between batches keep the plan: they land in the leaves'
+        views of the plan store, a rehashed leaf is served as *detached*,
+        a child materialised from ``None`` takes the plan's hole path, and
+        the plan re-reads the state of the leaves written outside it
+        before its next fused op (see :mod:`repro.core.batch_plan`).
         """
-        c = self.counters
-        return (
-            self._n,
-            self.updates_since_build,
-            c.retrains,
-            c.splits,
-            id(self._root),
-        )
+        return self._topology_epoch
 
     def _current_plan(self) -> BatchQueryPlan:
-        """The flattened snapshot for the live structure (rebuilt lazily)."""
+        """The flattened snapshot for the live tree (rebuilt lazily)."""
         assert self._root is not None
         version = self._plan_version()
         plan = self._batch_plan
         if plan is None or plan.version != version:
             plan = build_plan(self._root, version)
             self._batch_plan = plan
+        elif self._written_leaves:
+            plan.sync_leaves(self._written_leaves)
+        self._written_leaves.clear()
         return plan
 
     # -- bulk reads --------------------------------------------------------------------
@@ -771,6 +785,7 @@ class ChameleonIndex(BaseIndex):
             new_q, new_m = measured_structure_cost(new_child, self.config)
             if w_q * new_q + w_m * new_m <= w_q * old_q + w_m * old_m:
                 parent.children[rank] = new_child
+                self._topology_epoch += 1
                 n = len(pairs)
                 self.counters.retrains += 1
                 self.counters.retrain_keys += n
@@ -885,7 +900,15 @@ class ChameleonIndex(BaseIndex):
         state = self.__dict__.copy()
         state["lock_manager"] = None
         state["_batch_plan"] = None  # cache; duplicates the tree's arrays
+        state["_written_leaves"] = set()
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots written before these attributes existed lack them; any
+        # start value is sound because the plan cache is never pickled.
+        state.setdefault("_topology_epoch", 0)
+        state.setdefault("_written_leaves", set())
+        self.__dict__.update(state)
 
     def rebuild_all(self) -> int:
         """Full DARE reconstruction from the live key set.
@@ -912,6 +935,7 @@ class ChameleonIndex(BaseIndex):
             values = [p[1] for p in pairs]
             result = self.builder.build(keys, values, self.counters)
             self._root = result.root
+            self._topology_epoch += 1
             n = len(pairs)
             self._n = n
             self.updates_since_build = 0
@@ -1036,4 +1060,5 @@ class ChameleonIndex(BaseIndex):
             parent.children[rank] = subtree
         else:
             self._root = subtree
+        self._topology_epoch += 1
         return True

@@ -43,6 +43,26 @@ def _chameleon(keys: np.ndarray, lock: bool = False) -> ChameleonIndex:
     return ix
 
 
+def _owner(ix: ChameleonIndex, key: float):
+    """The leaf Eq. 1 routes ``key`` to, without charging the counters."""
+    before = ix.counters.snapshot()
+    leaf = ix._locate_leaf(key)
+    ix.counters.restore(before)
+    return leaf
+
+
+def _leaf_keys(ix, leaf, n: int, rng, taken: set) -> list[float]:
+    """``n`` new keys that Eq. 1 routes to ``leaf`` (recorded in ``taken``)."""
+    out: list[float] = []
+    for k in rng.uniform(leaf.low_key, leaf.high_key, 100 * n + 100).tolist():
+        if k not in taken and _owner(ix, k) is leaf:
+            taken.add(k)
+            out.append(k)
+            if len(out) == n:
+                return out
+    raise AssertionError("leaf interval too narrow for fresh keys")
+
+
 class TestEBHProbeGeometry:
     """Pin the deduplicated ring scan's exact probe counts (cd >= c/2).
 
@@ -116,17 +136,164 @@ class TestChameleonBatchEquivalence:
         assert b.counters.diff(before) == scalar_delta
 
     def test_fused_plan_reused_across_batches(self):
-        keys = load_dataset("UDEN", 3000, seed=1)
+        """The plan survives scalar writes; only topology changes replace it."""
+        keys = load_dataset("UDEN", 2000, seed=18)
         ix = _chameleon(keys)
         q = _queries(keys, 1024, seed=3)
-        ix.lookup_batch(q)
-        plan = ix._batch_plan
-        assert plan is not None
-        ix.lookup_batch(q)
-        assert ix._batch_plan is plan  # lookups never invalidate
+
+        def plan_after_batch():
+            ix.lookup_batch(q)
+            assert ix._batch_plan is not None
+            return ix._batch_plan
+
+        plan = plan_after_batch()
+        assert plan_after_batch() is plan  # lookups never invalidate
         ix.insert(float(keys.max()) + 1.0)
-        ix.lookup_batch(q)
-        assert ix._batch_plan is not plan  # mutations do
+        assert ix.delete(float(keys[7]))
+        assert plan_after_batch() is plan  # neither do in-place writes
+
+        # A rebuild_subtree swap re-hangs a subtree.
+        ids, parent, rank = ix.h_level_entries()[0]
+        assert ix.rebuild_subtree(parent, rank, ids) > 0
+        swapped = plan_after_batch()
+        assert swapped is not plan
+
+        # A leaf split turns a leaf into a subtree (the skewed insert wave
+        # of test_split_triggering_batch_matches_scalar).
+        lo, hi = float(keys.min()), float(keys.max())
+        rng = np.random.default_rng(43)
+        heavy = np.unique(
+            lo + 0.3 * (hi - lo)
+            + 0.01 * (hi - lo) * rng.lognormal(0.0, 2.0, 900) / 200.0
+        )
+        for k in heavy.tolist():
+            ix.insert(k)
+            if ix.counters.splits:
+                break
+        assert ix.counters.splits == 1
+        split = plan_after_batch()
+        assert split is not swapped
+
+        ix.rebuild_all()
+        rebuilt = plan_after_batch()
+        assert rebuilt is not split
+        ix.bulk_load(keys)
+        assert plan_after_batch() is not rebuilt
+        assert ix.verify_integrity().ok
+
+    def test_scalar_cd_growth_is_seen_by_lookup_batch(self):
+        """A scalar insert that widens a leaf's probe window after the plan
+        was built: the next fused lookup must probe the wider window."""
+        keys = load_dataset("UDEN", 3000, seed=1)
+        a, b = _chameleon(keys), _chameleon(keys)
+        q = _queries(keys, 256, seed=3)
+        assert b.lookup_batch(q) == [a.lookup(float(k)) for k in q]
+        plan = b._batch_plan
+        rng = np.random.default_rng(5)
+        lid_of = {id(leaf): lid for lid, leaf in enumerate(plan.leaves)}
+        for k in rng.uniform(keys.min(), keys.max(), 5000).tolist():
+            leaf = _owner(b, k)
+            e = leaf.ebh
+            if (e.n_keys + 1) / e.capacity > b.config.max_leaf_load:
+                continue  # a rehash is the next test's case
+            a.insert(k)
+            b.insert(k)
+            if e.conflict_degree > plan.leaf_cd[lid_of[id(leaf)]]:
+                break
+        else:
+            pytest.fail("no insert grew a conflict degree")
+        probe = np.concatenate([[k], q[:63]])
+        assert b.lookup_batch(probe) == [a.lookup(float(x)) for x in probe]
+        assert b._batch_plan is plan
+        assert b.counters == a.counters
+
+    def test_scalar_rehash_detaches_leaf_for_every_batch_op(self):
+        """A scalar insert rehashes a leaf (new arrays, new capacity) after
+        the plan was built: lookups, deletes and inserts of the next
+        batches must all serve that leaf from its live storage."""
+        keys = load_dataset("UDEN", 3000, seed=1)
+        a, b = _chameleon(keys), _chameleon(keys)
+        q = _queries(keys, 256, seed=3)
+        assert b.lookup_batch(q) == [a.lookup(float(k)) for k in q]
+        plan = b._batch_plan
+        load = b.config.max_leaf_load
+        leaf = max(
+            (lf for lf in plan.leaves if 8 <= lf.ebh.n_keys < 256),
+            key=lambda lf: lf.ebh.n_keys / lf.ebh.capacity,
+        )
+        rng = np.random.default_rng(9)
+        taken = {float(k) for k in keys}
+        retrains = b.counters.retrains
+        before = []
+        while b.counters.retrains == retrains:
+            (k,) = _leaf_keys(b, leaf, 1, rng, taken)
+            before.append(k)
+            a.insert(k)
+            b.insert(k)
+        assert leaf.ebh.n_keys / leaf.ebh.capacity < load  # it grew
+        after = _leaf_keys(b, leaf, 4, rng, taken)
+        for k in after:
+            a.insert(k)
+            b.insert(k)
+        probe = np.asarray(before + after + q[:40].tolist())
+        assert b.lookup_batch(probe) == [a.lookup(float(x)) for x in probe]
+        gone = np.asarray(before[:3] + after[:2] + keys[::97][:40].tolist())
+        assert b.delete_batch(gone) == [a.delete(float(x)) for x in gone]
+        new = np.asarray(
+            _leaf_keys(b, leaf, 6, rng, taken)
+            + rng.uniform(keys.min(), keys.max(), 40).tolist()
+        )
+        b.insert_batch(new)
+        for k in new.tolist():
+            a.insert(k)
+        assert b._batch_plan is plan
+        assert b.counters == a.counters
+        assert sorted(a.items()) == sorted(b.items())
+        assert b.verify_integrity().ok
+
+    def test_scalar_writes_move_the_batch_load_trigger(self):
+        """Scalar deletes and inserts change a leaf's live count after the
+        plan was built: an insert batch that fills the leaf must rehash it
+        at exactly the key where the scalar stream does.
+
+        Deletes alone would leave the plan's count too high, which the
+        load-trigger branch corrects against the live leaf; the inserts
+        that follow leave it too low, which only a refresh catches.
+        """
+        keys = load_dataset("UDEN", 3000, seed=1)
+        a, b = _chameleon(keys), _chameleon(keys)
+        q = _queries(keys, 256, seed=3)
+        assert b.lookup_batch(q) == [a.lookup(float(k)) for k in q]
+        plan = b._batch_plan
+        load = b.config.max_leaf_load
+
+        def room(lf) -> float:
+            return load * lf.ebh.capacity - lf.ebh.n_keys
+
+        leaf = min(
+            (lf for lf in plan.leaves if 8 <= lf.ebh.n_keys < 256 and room(lf) >= 3),
+            key=room,
+        )
+        rng = np.random.default_rng(13)
+        taken = {float(k) for k in keys}
+        for k, _ in leaf.ebh.sorted_items()[:3]:
+            assert a.delete(k) and b.delete(k)
+        for k in _leaf_keys(b, leaf, 5, rng, taken):
+            a.insert(k)
+            b.insert(k)
+        n, cap = leaf.ebh.n_keys, leaf.ebh.capacity
+        until_trigger = next(j for j in range(1, cap) if (n + j) / cap > load)
+        batch = _leaf_keys(b, leaf, until_trigger + 4, rng, taken)
+        batch += rng.uniform(keys.min(), keys.max(), 32).tolist()
+        retrains = a.counters.retrains
+        for k in batch:
+            a.insert(k)
+        assert a.counters.retrains > retrains  # the leaf really rehashed
+        b.insert_batch(np.asarray(batch))
+        assert b._batch_plan is plan
+        assert b.counters == a.counters
+        assert sorted(a.items()) == sorted(b.items())
+        assert b.verify_integrity().ok
 
     def test_delete_batch_equivalence(self):
         keys = load_dataset("UDEN", 3000, seed=4)

@@ -404,6 +404,40 @@ def test_batch_append_failure_rolls_back_whole_batch(tmp_path):
     assert sorted(index.items()) == before_items
 
 
+def test_snapshot_without_topology_epoch_loads_and_recovers(tmp_path):
+    """A ChameleonIndex snapshot written before the topology epoch existed
+    (its pickled state lacks ``_topology_epoch``) still loads, serves fused
+    batches, and recovers through RecoveryManager with a WAL tail."""
+    keys = sorted({float(k) for k in face_like(900, seed=11)})
+    loaded, fresh = keys[:600], keys[600:]
+    durable = DurableIndex(ChameleonIndex(), tmp_path, fsync="always")
+    durable.bulk_load(loaded)
+    durable.insert_batch(fresh[:100])
+    durable.checkpoint()
+    # Rewrite the checkpoint in the older layout.
+    old = ChameleonIndex.__new__(ChameleonIndex)
+    old.__dict__.update(durable.index.__getstate__())
+    del old.__dict__["_topology_epoch"]
+    assert "_topology_epoch" not in old.__getstate__()
+    old.save(tmp_path / read_manifest(tmp_path).snapshot)
+    durable.insert_batch(fresh[100:200])
+    assert all(durable.delete_batch(loaded[:64]))
+    durable.close()
+
+    probe = loaded[:96] + fresh[150:250]
+    want = durable.index.lookup_batch(probe)
+    assert sum(v is not None for v in want) == 32 + 50
+    loaded_back = ChameleonIndex.load(tmp_path / read_manifest(tmp_path).snapshot)
+    assert loaded_back.lookup_batch(loaded[:64]) == loaded[:64]
+    index, report = RecoveryManager(tmp_path, ChameleonIndex).recover()
+    assert report.used_checkpoint and report.failed_applies == 0
+    assert index.lookup_batch(probe) == want
+    index.insert_batch(fresh[250:])
+    live = loaded[64:] + fresh[:200] + fresh[250:]
+    assert sorted(index.items()) == [(k, k) for k in sorted(live)]
+    assert index.verify_integrity().ok
+
+
 # -- effect-analysis regression fixes (RL012/RL014) ---------------------------
 
 
