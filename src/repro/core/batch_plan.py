@@ -1,12 +1,11 @@
 """Flattened-tree execution plan for fused batch lookups and writes.
 
-The grouped per-node descent in :meth:`ChameleonIndex.lookup_batch` is
-counter-exact but spends its wall-clock in per-group bookkeeping when a
-batch fans out across many small leaves — the common Chameleon shape is
-thousands of EBH leaves holding a handful of keys each, so a 1024-key
-batch lands well under one key per leaf. This module flattens the tree
-into numpy arrays once and then executes the whole key vector with a few
-full-vector operations:
+A per-key (or per-node grouped) descent spends its wall-clock in Python
+bookkeeping when a batch fans out across many small leaves — the common
+Chameleon shape is thousands of EBH leaves holding a handful of keys
+each, so a 1024-key batch lands well under one key per leaf. This module
+flattens the tree into numpy arrays once and then executes the whole key
+vector with a few full-vector operations:
 
 * **descent** — one gathered Eq. 1 evaluation per tree *level* rather
   than per node: every key carries its current node id, node parameters
@@ -61,7 +60,6 @@ from ..analysis.contracts import declared_contract
 from ..baselines.interfaces import DuplicateKeyError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from .builder import make_leaf
 from .node import InnerNode, LeafNode, Node
 
 if TYPE_CHECKING:
@@ -78,10 +76,11 @@ class BatchQueryPlan:
     """Immutable flattened snapshot of one Chameleon tree.
 
     Built by :func:`build_plan` and executed by the batch entry points of
-    :class:`ChameleonIndex` when no lock manager is attached. The lock
-    path keeps the grouped descent instead: it must re-read boundary
-    pointers under each interval lock, which a snapshot cannot express
-    without weakening the PR-3 lock contract.
+    :class:`ChameleonIndex` when no lock manager is attached. Under a lock
+    manager batches run the scalar stream with one query lock per
+    interval instead: building a plan rebinds every leaf's slot arrays
+    onto one store, so with concurrent writers a build would need every
+    interval's lock at once.
 
     The *topology* arrays are immutable; ``store_keys``/``store_values``
     are the live leaf storage (leaves hold views into them), and
@@ -153,7 +152,7 @@ class BatchQueryPlan:
     def sync_leaves(self, written: Iterable[LeafNode]) -> None:
         """Re-read the live state of plan leaves written outside the plan.
 
-        Scalar and grouped writes land in the leaves directly: they change
+        Scalar writes land in the leaves directly: they change
         a leaf's ``n_keys`` and conflict degree, and a rehash detaches it.
         A stale conflict degree would make the probe window miss stored
         keys, and a stale ``n_keys`` would move the insert load trigger.
@@ -313,22 +312,20 @@ class BatchQueryPlan:
             if sel.size:
                 self._probe_leaves(index, karr, sel, lids, out)
         for i in np.flatnonzero(cur == _HOLE).tolist():
-            # The plan recorded no leaf here when it was built. Re-read the
-            # live pointer: a scalar walk (or a retrainer swap) may have
-            # filled the slot since, otherwise materialise the empty leaf
-            # exactly as the scalar descent does. Counting stays exact —
-            # the fused loop already charged the hops down to this node.
-            parent = self.inners[int(hole_parent[i])]
-            rank = int(hole_rank[i])
-            child = parent.children[rank]
-            if child is None:
-                low, high = parent.child_interval(rank)
-                child = make_leaf(
-                    np.empty(0), [], low, high, index.config, counters
-                )
-                parent.children[rank] = child
-            out[i] = _lookup_from(index, child, float(karr[i]))
+            # The plan recorded no leaf here when it was built. The scalar
+            # walk below the slot re-reads the live pointer: a scalar walk
+            # (or a retrainer swap) may have filled it since, otherwise it
+            # materialises the empty leaf exactly as the scalar descent
+            # does. Counting stays exact — the fused loop already charged
+            # the hops down to this node.
+            k = float(karr[i])
+            leaf, _ = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
+            out[i] = leaf.ebh.lookup(k)
         return out
+
+    def _slot(self, parent: Any, rank: Any) -> list[tuple[InnerNode, int]]:
+        """The one-slot upper path that resumes a scalar walk below ``parent``."""
+        return [(self.inners[int(parent)], int(rank))]
 
     def _probe_leaves(
         self,
@@ -744,27 +741,16 @@ class BatchQueryPlan:
                         # A root leaf became a subtree: full re-descent,
                         # whose pre-charged depth was zero.
                         index._insert_locked(key, value)
-                    else:
-                        hops += depth_l[j]
-                        evals += depth_l[j]
-                        _insert_continue(
-                            index,
-                            self.inners[p],
-                            int(self.leaf_rank[lid]),
-                            key,
-                            value,
-                        )
-                    continue
-                # Plan hole: charged continuation from the live pointer.
+                        continue
+                    slot = self._slot(p, self.leaf_rank[lid])
+                else:
+                    slot = self._slot(hole_parent[j], hole_rank[j])
+                # The fused descent pre-charged the hops down to the slot;
+                # the scalar walk below it charges the rest.
                 hops += depth_l[j]
                 evals += depth_l[j]
-                _insert_continue(
-                    index,
-                    self.inners[int(hole_parent[j])],
-                    int(hole_rank[j]),
-                    key,
-                    value,
-                )
+                leaf, path = index._descend_lower(key, slot)
+                index._insert_at_leaf(key, value, leaf, path, fused_maintenance=True)
         finally:
             counters.node_hops += hops
             counters.model_evals += evals
@@ -798,18 +784,13 @@ class BatchQueryPlan:
             d = int(depth.sum())
             counters.node_hops += d
             counters.model_evals += d
-            removed_total = 0
             sel = np.flatnonzero(cur < 0)
             if sel.size:
                 lids = -cur[sel] - 1
                 det = self.leaf_detached[lids]
                 if det.any():
                     for i, lid in zip(sel[det].tolist(), lids[det].tolist()):
-                        leaf = self.leaves[lid]
-                        if leaf.ebh.delete(float(karr[i])):
-                            out[i] = True
-                            leaf.update_count += 1
-                            removed_total += 1
+                        out[i] = index._delete_at_leaf(self.leaves[lid], float(karr[i]))
                     keep = ~det
                     sel = sel[keep]
                     lids = lids[keep]
@@ -843,97 +824,14 @@ class BatchQueryPlan:
                     ):
                         ebhs[lid].n_keys -= rem
                         leaves[lid].update_count += rem
-                    removed_total += int(found.sum())
+                    removed = int(found.sum())
+                    index._n -= removed
+                    index.updates_since_build += removed
             for i in np.flatnonzero(cur == _HOLE).tolist():
-                parent = self.inners[int(hole_parent[i])]
-                if _delete_from(index, parent, int(hole_rank[i]), float(karr[i])):
-                    out[i] = True
-            if removed_total:
-                index._n -= removed_total
-                index.updates_since_build += removed_total
+                k = float(karr[i])
+                leaf, _ = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
+                out[i] = index._delete_at_leaf(leaf, k)
             return out.tolist()
-
-
-def _lookup_from(index: "ChameleonIndex", node: Node, key: float) -> Any | None:
-    """Scalar continuation below a re-read child pointer.
-
-    Identical accounting to the tail of :meth:`ChameleonIndex._descend`
-    followed by the EBH probe — used for plan holes, where the live slot
-    may meanwhile hold anything from ``None`` to a whole subtree.
-    """
-    counters = index.counters
-    while isinstance(node, InnerNode):
-        counters.node_hops += 1
-        rank = node.route(key)
-        child = node.children[rank]
-        if child is None:
-            low, high = node.child_interval(rank)
-            child = make_leaf(np.empty(0), [], low, high, index.config, counters)
-            node.children[rank] = child
-        node = child
-    return node.ebh.lookup(key)
-
-
-def _insert_continue(
-    index: "ChameleonIndex",
-    parent: InnerNode,
-    rank: int,
-    key: float,
-    value: Any,
-) -> None:
-    """Scalar insert continuation below a re-read child pointer.
-
-    The fused descent already pre-charged the hops down to ``parent``
-    (and their model evaluations), so only the live subtree below the
-    slot is walked — and charged — here, ending in the shared
-    post-descent insert logic. Used for plan holes and for slots a
-    mid-batch split replaced.
-    """
-    counters = index.counters
-    node = parent.children[rank]
-    if node is None:
-        low, high = parent.child_interval(rank)
-        node = make_leaf(np.empty(0), [], low, high, index.config, counters)
-        parent.children[rank] = node
-    path: list[tuple[InnerNode, int]] = [(parent, rank)]
-    while isinstance(node, InnerNode):
-        counters.node_hops += 1
-        r = node.route(key)
-        path.append((node, r))
-        child = node.children[r]
-        if child is None:
-            low, high = node.child_interval(r)
-            child = make_leaf(np.empty(0), [], low, high, index.config, counters)
-            node.children[r] = child
-        node = child
-    index._insert_at_leaf(key, value, node, path, fused_maintenance=True)
-
-
-def _delete_from(
-    index: "ChameleonIndex", parent: InnerNode, rank: int, key: float
-) -> bool:
-    """Scalar delete continuation below a plan hole (self-accounting)."""
-    counters = index.counters
-    node = parent.children[rank]
-    if node is None:
-        low, high = parent.child_interval(rank)
-        node = make_leaf(np.empty(0), [], low, high, index.config, counters)
-        parent.children[rank] = node
-    while isinstance(node, InnerNode):
-        counters.node_hops += 1
-        r = node.route(key)
-        child = node.children[r]
-        if child is None:
-            low, high = node.child_interval(r)
-            child = make_leaf(np.empty(0), [], low, high, index.config, counters)
-            node.children[r] = child
-        node = child
-    removed = node.ebh.delete(key)
-    if removed:
-        node.update_count += 1
-        index._n -= 1
-        index.updates_since_build += 1
-    return removed
 
 
 def build_plan(root: Node, version: int) -> BatchQueryPlan:

@@ -16,11 +16,11 @@ collision probability tau, adaptively enlarged when inserts push the load
 factor past the configured maximum.
 
 Storage is a ``float64`` slot array with a NaN empty-sentinel plus an
-object array for values, so the batch entry points (:meth:`lookup_batch`,
-:meth:`delete_batch`) resolve a whole key vector with one Eq. 2
-vectorisation and one window-gather comparison. Scalar and batch paths
-share the same backing store and increment the same counters by the same
-totals (see docs/cost_model.md).
+object array for values. The fused batch plan
+(:mod:`repro.core.batch_plan`) rebinds these arrays onto views of one
+concatenated store and probes every leaf's windows with full-vector
+operations, charging the same counters by the same totals as the scalar
+probe loop here (see docs/cost_model.md).
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from ..baselines.counters import Counters
 from ..baselines.interfaces import DuplicateKeyError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-
-#: Below this batch size the vectorised window gather costs more than the
-#: scalar probe loop; both paths count identically, so the switch is purely
-#: a wall-clock decision.
-_BATCH_MIN = 8
 
 #: Fused rehashes at or below this live-key count run the re-placement on
 #: plain lists instead of ndarray gathers/scatters — numpy's fixed per-call
@@ -208,183 +203,34 @@ class ErrorBoundedHash:
         self.counters.slot_probes += probes
         return False
 
-    # -- batch operations ------------------------------------------------------
+    # -- batch entry points ----------------------------------------------------
 
-    def _find_batch(
-        self, karr: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised cd-window search for a key vector.
-
-        One Eq. 2 vectorisation plus one window-gather comparison per probe
-        side. Returns ``(hit, slots, probes)`` where ``hit`` marks found
-        keys, ``slots`` holds each hit's slot (undefined for misses), and
-        ``probes`` counts, per key, exactly the slot inspections the scalar
-        outward scan would have performed (match at ``+o`` costs ``2o``
-        probes — ``1`` at ``o == 0`` — match at ``-o`` costs ``2o + 1``,
-        and a miss scans the whole deduplicated window).
-        """
-        m = karr.size
-        cap = self.capacity
-        limit = self._window_limit()
-        homes = self._raw_home_slots(karr)
-        store = self._keys
-
-        plus_offs = np.arange(limit + 1, dtype=np.int64)
-        plus_slots = (homes[:, None] + plus_offs[None, :]) % cap
-        plus_match = store[plus_slots] == karr[:, None]
-        plus_any = plus_match.any(axis=1)
-        plus_o = plus_match.argmax(axis=1)
-
-        minus_offs = np.arange(1, limit + 1, dtype=np.int64)
-        minus_offs = minus_offs[2 * minus_offs != cap]  # dedup the ring apex
-        if minus_offs.size:
-            minus_slots = (homes[:, None] - minus_offs[None, :]) % cap
-            minus_match = store[minus_slots] == karr[:, None]
-            minus_any = minus_match.any(axis=1)
-            minus_col = minus_match.argmax(axis=1)
-            minus_o = minus_offs[minus_col]
-        else:
-            minus_slots = np.zeros((m, 0), dtype=np.int64)
-            minus_any = np.zeros(m, dtype=bool)
-            minus_col = np.zeros(m, dtype=np.int64)
-            minus_o = np.zeros(m, dtype=np.int64)
-
-        # Keys are unique in an EBH node, so at most one side matches.
-        miss_probes = 1 + 2 * limit - (1 if 2 * limit == cap and limit > 0 else 0)
-        probes = np.full(m, miss_probes, dtype=np.int64)
-        probes[minus_any] = 2 * minus_o[minus_any] + 1
-        probes[plus_any] = np.where(plus_o[plus_any] == 0, 1, 2 * plus_o[plus_any])
-
-        hit = plus_any | minus_any
-        rows = np.arange(m)
-        slots = np.where(
-            plus_any,
-            plus_slots[rows, plus_o],
-            minus_slots[rows, np.minimum(minus_col, max(minus_slots.shape[1] - 1, 0))]
-            if minus_slots.shape[1]
-            else 0,
-        )
-        return hit, slots, probes
+    # The index never calls these: its batches run the fused plan or the
+    # scalar stream. They stay as plain per-key loops because the
+    # benchmark's tracer (perfbench/tracing.py) wraps them by name.
 
     def lookup_batch(self, keys: "np.ndarray | Sequence[float]") -> list[Any | None]:
-        """Vectorised :meth:`lookup` over a key vector.
-
-        Increments the same counters by the same totals as looking every
-        key up one at a time; the result list is positionally aligned with
-        ``keys``.
-        """
-        karr = np.ascontiguousarray(keys, dtype=np.float64)
-        m = karr.size
-        if m == 0:
-            return []
-        if m < _BATCH_MIN:
-            return [self.lookup(k) for k in karr.tolist()]
-        self.counters.model_evals += m
-        hit, slots, probes = self._find_batch(karr)
-        self.counters.slot_probes += int(probes.sum())
-        if obs_metrics.ACTIVE is not None:
-            obs_metrics.ACTIVE.observe_many("chameleon_probe_length_slots", probes.tolist())
-        out = np.full(m, None, dtype=object)
-        out[hit] = self._values[slots[hit]]
-        return list(out)
+        """:meth:`lookup` per key; results aligned with ``keys``."""
+        return [self.lookup(k) for k in np.asarray(keys, dtype=np.float64).tolist()]
 
     def insert_batch(
         self,
         keys: "np.ndarray | Sequence[float]",
         values: "Sequence[Any] | None" = None,
     ) -> None:
-        """Vectorised :meth:`insert` over a key vector, in stream order.
-
-        One Eq. 2 vectorisation computes every home slot; maximal runs of
-        collision-free keys (home slot empty, no earlier batch key sharing
-        it) are placed with one scatter, and only the colliding residue
-        falls back to the scalar probe loop — so probe totals, conflict
-        degree, and the final slot array are bit-identical to inserting
-        one key at a time. ``values=None`` stores each key as its own
-        value, matching the index convention.
-
-        Batches containing duplicates (of stored keys or within the batch)
-        and batches that would overflow run the scalar loop wholesale so
-        the raise lands after exactly the preceding keys, as the scalar
-        stream would.
-        """
-        karr = np.ascontiguousarray(keys, dtype=np.float64)
-        m = karr.size
-        if values is not None and len(values) != m:
+        """:meth:`insert` per key, in stream order; ``values=None`` stores
+        each key as its own value, matching the index convention."""
+        key_list = np.asarray(keys, dtype=np.float64).tolist()
+        if values is not None and len(values) != len(key_list):
             raise ValueError(
-                f"keys and values length mismatch: {m} != {len(values)}"
+                f"keys and values length mismatch: {len(key_list)} != {len(values)}"
             )
-        if m == 0:
-            return
-        if (
-            m < _BATCH_MIN
-            or self.n_keys + m > self.capacity
-            or np.unique(karr).size < m
-            or self._find_batch(karr)[0].any()
-        ):
-            for i, k in enumerate(karr.tolist()):
-                self.insert(k, k if values is None else values[i])
-            return
-        homes_all = self._raw_home_slots(karr)
-        store = self._keys
-        pos = 0
-        while pos < m:
-            homes = homes_all[pos:]
-            cap = self.capacity
-            limit = self._window_limit()
-            w = 1 + 2 * limit - (1 if (2 * limit == cap and limit > 0) else 0)
-            free = np.isnan(store[homes])
-            # Only the first key aimed at each home slot is collision-free;
-            # later ones must probe (and may raise the conflict degree).
-            first = np.zeros(homes.size, dtype=bool)
-            first[np.unique(homes, return_index=True)[1]] = True
-            good = free & first
-            n_good = int(good.size if good.all() else np.argmin(good))
-            if n_good:
-                seg = homes[:n_good]
-                store[seg] = karr[pos : pos + n_good]
-                if values is None:
-                    # Scalar inserts store the python float key itself;
-                    # match that type, not np.float64.
-                    vals_np = self._values
-                    for j, s in enumerate(seg.tolist()):
-                        vals_np[s] = float(karr[pos + j])
-                else:
-                    # Element-wise object writes: sequence-typed values must
-                    # land as single slots, never broadcast by numpy.
-                    vals_np = self._values
-                    for j, s in enumerate(seg.tolist()):
-                        vals_np[s] = values[pos + j]
-                self.n_keys += n_good
-                self.counters.model_evals += n_good
-                self.counters.slot_probes += n_good * w
-                pos += n_good
-            if pos < m:
-                k = float(karr[pos])
-                self.insert(k, k if values is None else values[pos])
-                pos += 1
+        for i, k in enumerate(key_list):
+            self.insert(k, k if values is None else values[i])
 
     def delete_batch(self, keys: "np.ndarray | Sequence[float]") -> list[bool]:
-        """Vectorised :meth:`delete` over a key vector.
-
-        Falls back to the scalar loop when the batch contains duplicate
-        keys (the second occurrence must observe the first one's clear).
-        Counter totals match the scalar loop exactly either way.
-        """
-        karr = np.ascontiguousarray(keys, dtype=np.float64)
-        m = karr.size
-        if m == 0:
-            return []
-        if m < _BATCH_MIN or np.unique(karr).size < m:
-            return [self.delete(k) for k in karr.tolist()]
-        self.counters.model_evals += m
-        hit, slots, probes = self._find_batch(karr)
-        self.counters.slot_probes += int(probes.sum())
-        hit_slots = slots[hit]
-        self._keys[hit_slots] = np.nan
-        self._values[hit_slots] = None
-        self.n_keys -= int(hit.sum())
-        return list(map(bool, hit))
+        """:meth:`delete` per key; flags aligned with ``keys``."""
+        return [self.delete(k) for k in np.asarray(keys, dtype=np.float64).tolist()]
 
     # -- maintenance -----------------------------------------------------------
 

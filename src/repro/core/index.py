@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..analysis.contracts import declared_contract
 from ..baselines.interfaces import (
     BaseIndex,
     Capabilities,
@@ -39,14 +40,9 @@ if TYPE_CHECKING:
 LEAF_GROWTH = 1.5
 
 #: Below this batch size building/consulting the flattened plan costs more
-#: than the grouped descent; both paths count identically, so the switch is
+#: than the scalar loop; both paths count identically, so the switch is
 #: purely a wall-clock decision.
 _FUSED_MIN = 32
-
-#: Leaf-visit callback for the grouped batch walks: receives the leaf, the
-#: positions of its keys in the batch, and the leaf's (parent, rank) slot —
-#: ``(None, 0)`` when the root itself is the leaf.
-_BatchVisit = Callable[[LeafNode, np.ndarray, "InnerNode | None", int], None]
 
 
 class ChameleonIndex(BaseIndex):
@@ -257,6 +253,10 @@ class ChameleonIndex(BaseIndex):
 
     def _delete_locked(self, key: Key) -> bool:
         leaf, _, _ = self._descend(key)
+        return self._delete_at_leaf(leaf, key)
+
+    def _delete_at_leaf(self, leaf: LeafNode, key: Key) -> bool:
+        """Post-descent half of the scalar delete (shared with the plan)."""
         removed = leaf.ebh.delete(key)
         if removed:
             leaf.update_count += 1
@@ -269,14 +269,15 @@ class ChameleonIndex(BaseIndex):
     # -- batch operations --------------------------------------------------------------
 
     def lookup_batch(self, keys: "Sequence[Key] | np.ndarray") -> list[Value | None]:
-        """Grouped vectorised lookup (see docs/cost_model.md).
+        """Batch lookup; results aligned with ``keys`` (see docs/cost_model.md).
 
-        The whole key vector is routed through each inner node with one
-        vectorised Eq. 1 evaluation, partitioned by child, and finished
-        with per-leaf EBH window gathers. Under a lock manager, keys are
-        grouped by h-th-level interval first so each interval's query lock
-        is acquired once per batch instead of once per key — the only
-        counters that legitimately differ from the scalar loop.
+        Without a lock manager, batches of at least ``_FUSED_MIN`` keys run
+        through the fused :class:`BatchQueryPlan`; smaller ones run the
+        scalar descent and EBH probe per key. Under a lock manager, keys
+        are grouped by h-th-level interval and each group runs the scalar
+        body under one query lock, so lock acquisitions drop to one per
+        touched interval — the only counters that legitimately differ
+        from the scalar loop.
         """
         karr = np.ascontiguousarray(keys, dtype=np.float64)
         m = karr.size
@@ -284,22 +285,18 @@ class ChameleonIndex(BaseIndex):
             return []
         if self._root is None:
             raise EmptyIndexError("index is empty; bulk_load first")
-        out: list[Value | None] = [None] * m
         with obs_trace.span("index.lookup_batch").put("n", m):
+            if self.lock_manager is None and m >= _FUSED_MIN:
+                return self._current_plan().lookup(self, karr)
+            keys_l: list[float] = karr.tolist()
             if self.lock_manager is None:
-                if m >= _FUSED_MIN:
-                    return self._current_plan().lookup(self, karr)
-                self._descend_batch(
-                    self._root, karr, np.arange(m), self._batch_leaf_lookup(karr, out)
-                )
-                return out
-            for ids, last, idx in self._group_upper(karr, np.arange(m)):
-                with self.lock_manager.query_lock(ids, self.counters):
-                    self.lock_manager.assert_interval_locked(ids, where="lookup_batch")
-                    start = self._reread_boundary(last)
-                    self._descend_batch(
-                        start, karr, idx, self._batch_leaf_lookup(karr, out)
-                    )
+                return [self._descend(k)[0].ebh.lookup(k) for k in keys_l]
+            out: list[Value | None] = [None] * m
+
+            def lookup(i: int, upper: list[tuple[InnerNode, int]]) -> None:
+                out[i] = self._descend_lower(keys_l[i], upper)[0].ebh.lookup(keys_l[i])
+
+            self._per_interval(keys_l, lookup, "lookup_batch")
             return out
 
     def insert_batch(
@@ -307,19 +304,25 @@ class ChameleonIndex(BaseIndex):
         keys: "Sequence[Key] | np.ndarray",
         values: "Sequence[Value] | None" = None,
     ) -> None:
-        """Insert a key vector with fused placement and exact accounting.
+        """Insert a key vector with exact scalar accounting.
 
-        Without a lock manager, large batches run through the flattened
-        plan: one gathered descent groups keys by leaf, collision-free keys
-        scatter into their home slots in bulk, and only the colliding or
-        load-triggering residue replays the scalar trigger logic — splits
-        and rehashes still fire at exactly the sequential load trajectory's
-        points, so counters stay bit-identical to the one-at-a-time stream.
-        Under a lock manager, keys are grouped by h-th-level interval (one
-        lock acquisition per interval) and placed per leaf with the fused
-        EBH insert. Within a leaf, keys land in their original stream
-        order; on a duplicate key the batch raises with exactly the
-        preceding keys landed.
+        Without a lock manager, batches of at least ``_FUSED_MIN`` keys run
+        through the flattened plan: one gathered descent groups keys by
+        leaf, collision-free keys scatter into their home slots in bulk,
+        and only the colliding or load-triggering residue replays the
+        scalar trigger logic — splits and rehashes still fire at exactly
+        the sequential load trajectory's points, so counters stay
+        bit-identical to the one-at-a-time stream. Smaller batches, and
+        every batch while faults are armed (they fire per key in an order
+        the plan cannot replicate), run the scalar insert per key. On a
+        duplicate key the batch raises with exactly the preceding keys
+        landed.
+
+        Under a lock manager, keys are grouped by h-th-level interval and
+        each group runs the scalar insert per key, in stream order, under
+        one query lock. A batch that would raise on a duplicate key (one
+        repeated in the batch or already stored) runs the scalar stream
+        instead, one lock per key, so the same prefix lands.
         """
         if self._root is None:
             raise EmptyIndexError("bulk_load before inserting")
@@ -332,45 +335,38 @@ class ChameleonIndex(BaseIndex):
                     f"keys and values length mismatch: {karr.size} != {len(vals)}"
                 )
         with obs_trace.span("index.insert_batch").put("n", int(karr.size)):
-            # Fault injection fires ebh.insert / ebh.expand per key in a
-            # seeded order the fused paths cannot replicate, so chaos runs
-            # keep the scalar stream.
-            if faults.ACTIVE is not None:
-                if self.lock_manager is None:
-                    for i, k in enumerate(karr.tolist()):
-                        self._insert_locked(k, k if vals is None else vals[i])
-                    return
-                for ids, _, idx in self._group_upper(karr, np.arange(karr.size)):
-                    with self.lock_manager.query_lock(ids, self.counters):
-                        self.lock_manager.assert_interval_locked(
-                            ids, where="insert_batch"
-                        )
-                        for i in idx.tolist():
-                            k = float(karr[i])
-                            self._insert_locked(k, k if vals is None else vals[i])
+            if (
+                self.lock_manager is None
+                and karr.size >= _FUSED_MIN
+                and faults.ACTIVE is None
+            ):
+                self._current_plan().insert(self, karr, vals)
                 return
-            if self.lock_manager is None:
-                if karr.size >= _FUSED_MIN:
-                    self._current_plan().insert(self, karr, vals)
-                    return
-                for i, k in enumerate(karr.tolist()):
-                    self._insert_locked(k, k if vals is None else vals[i])
+            keys_l: list[float] = karr.tolist()
+            if (
+                self.lock_manager is None
+                or np.unique(karr).size < karr.size
+                or any(map(self._stores, keys_l))
+            ):
+                for i, k in enumerate(keys_l):
+                    self._insert_op(k, k if vals is None else vals[i])
                 return
-            for ids, _, idx in self._group_upper(karr, np.arange(karr.size)):
-                with self.lock_manager.query_lock(ids, self.counters):
-                    self.lock_manager.assert_interval_locked(ids, where="insert_batch")
-                    # _insert_locked descends from the root; the grouped
-                    # path replicates that accounting for hop equivalence.
-                    self._descend_batch(
-                        self._root, karr, idx, self._insert_leaf_group(karr, vals)
-                    )
+
+            def insert(i: int, upper: list[tuple[InnerNode, int]]) -> None:
+                self._insert_locked(keys_l[i], keys_l[i] if vals is None else vals[i])
+
+            self._per_interval(keys_l, insert, "insert_batch")
 
     def delete_batch(self, keys: "Sequence[Key] | np.ndarray") -> list[bool]:
-        """Grouped vectorised delete; flags aligned positionally with ``keys``.
+        """Batch delete; flags aligned positionally with ``keys``.
 
-        Mirrors the scalar protocol exactly: the full descent is counted
-        from the root (as :meth:`_delete_locked` does) and EBH probe totals
-        match the one-at-a-time stream, with locks amortised per interval.
+        Without a lock manager, duplicate-free batches of at least
+        ``_FUSED_MIN`` keys run through the fused plan; the rest run the
+        scalar delete per key, so a repeated key observes its first
+        occurrence's clear. Under a lock manager, keys are grouped by
+        h-th-level interval and each group runs the scalar delete per key,
+        in stream order, under one query lock. Either way every counter
+        but the lock traffic matches the one-at-a-time stream.
         """
         karr = np.ascontiguousarray(keys, dtype=np.float64)
         m = karr.size
@@ -378,234 +374,66 @@ class ChameleonIndex(BaseIndex):
             return []
         if self._root is None:
             return [False] * m
-        out = [False] * m
         with obs_trace.span("index.delete_batch").put("n", m):
+            if (
+                self.lock_manager is None
+                and m >= _FUSED_MIN
+                and np.unique(karr).size == m
+            ):
+                return self._current_plan().delete(self, karr)
+            keys_l: list[float] = karr.tolist()
             if self.lock_manager is None:
-                if m >= _FUSED_MIN and np.unique(karr).size == m:
-                    # Duplicate keys fall back to the grouped walk: the
-                    # second occurrence must observe the first one's clear.
-                    return self._current_plan().delete(self, karr)
-                self._descend_batch(
-                    self._root, karr, np.arange(m), self._batch_leaf_delete(karr, out)
-                )
-                return out
-            for ids, _, idx in self._group_upper(karr, np.arange(m)):
-                with self.lock_manager.query_lock(ids, self.counters):
-                    self.lock_manager.assert_interval_locked(ids, where="delete_batch")
-                    # _delete_locked descends from the root; the batch path
-                    # replicates that accounting for hop/eval equivalence.
-                    self._descend_batch(
-                        self._root, karr, idx, self._batch_leaf_delete(karr, out)
-                    )
+                return [self._delete_locked(k) for k in keys_l]
+            out = [False] * m
+
+            def delete(i: int, upper: list[tuple[InnerNode, int]]) -> None:
+                out[i] = self._delete_locked(keys_l[i])
+
+            self._per_interval(keys_l, delete, "delete_batch")
             return out
 
-    def _batch_leaf_lookup(
-        self, karr: np.ndarray, out: list[Value | None]
-    ) -> "_BatchVisit":
-        def visit(
-            leaf: LeafNode,
-            idx: np.ndarray,
-            parent: InnerNode | None,
-            rank: int,
-        ) -> None:
-            results = leaf.ebh.lookup_batch(karr[idx])
-            for i, v in zip(idx.tolist(), results):
-                out[i] = v
-
-        return visit
-
-    def _batch_leaf_delete(
-        self, karr: np.ndarray, out: list[bool]
-    ) -> "_BatchVisit":
-        def visit(
-            leaf: LeafNode,
-            idx: np.ndarray,
-            parent: InnerNode | None,
-            rank: int,
-        ) -> None:
-            flags = leaf.ebh.delete_batch(karr[idx])
-            removed = 0
-            for i, flag in zip(idx.tolist(), flags):
-                out[i] = flag
-                removed += flag
-            if removed:
-                leaf.update_count += removed
-                self._n -= removed
-                self.updates_since_build += removed
-                if self._batch_plan is not None:
-                    self._written_leaves.add(leaf)
-
-        return visit
-
-    def _insert_leaf_group(
-        self, karr: np.ndarray, vals: "list[Value] | None"
-    ) -> "_BatchVisit":
-        """Per-leaf fused insert for the grouped (lock-manager) batch path.
-
-        Within a leaf, stream order is preserved: maximal load-safe runs go
-        through the fused EBH insert, and every load-trigger key replays
-        the scalar maintenance (split attempt, fused rehash) via
-        :meth:`_insert_at_leaf`. A successful split re-descends the
-        remaining keys from the root one at a time — exactly the scalar
-        accounting — because the grouped routing is stale after the swap.
-        """
-
-        def visit(
-            leaf: LeafNode,
-            idx: np.ndarray,
-            parent: InnerNode | None,
-            rank: int,
-        ) -> None:
-            path = [] if parent is None else [(parent, rank)]
-            idx_list = idx.tolist()
-            total = len(idx_list)
-            load = self.config.max_leaf_load
-            pos = 0
-            while pos < total:
-                ebh = leaf.ebh
-                cap = ebh.capacity
-                n0 = ebh.n_keys
-                # Largest t with (n0 + t) / cap <= load, under the scalar
-                # stream's exact float comparison (±1 ulp corrections).
-                b = int(load * cap) - n0
-                if (n0 + b + 1) / cap <= load:
-                    b += 1
-                while b > 0 and (n0 + b) / cap > load:
-                    b -= 1
-                take = min(max(b, 0), total - pos)
-                if take > 0:
-                    if self._batch_plan is not None:
-                        self._written_leaves.add(leaf)
-                    sub = idx_list[pos : pos + take]
-                    before = ebh.n_keys
-                    try:
-                        if vals is None:
-                            ebh.insert_batch(karr[sub])
-                        else:
-                            ebh.insert_batch(karr[sub], [vals[i] for i in sub])
-                    finally:
-                        landed = ebh.n_keys - before
-                        if landed:
-                            leaf.update_count += landed
-                            self._n += landed
-                            self.updates_since_build += landed
-                    pos += take
-                if pos < total:
-                    i = idx_list[pos]
-                    k = float(karr[i])
-                    v = k if vals is None else vals[i]
-                    leaf, split_done, _ = self._insert_at_leaf(
-                        k, v, leaf, path, fused_maintenance=True
-                    )
-                    pos += 1
-                    if split_done:
-                        # Topology changed under this group: the remaining
-                        # keys re-descend from the root, as the scalar
-                        # stream would after the swap.
-                        for j in idx_list[pos:]:
-                            kj = float(karr[j])
-                            self._insert_locked(
-                                kj, kj if vals is None else vals[j]
-                            )
-                        return
-                    path = [] if parent is None else [(parent, rank)]
-
-        return visit
-
-    def _descend_batch(
+    def _per_interval(
         self,
-        start: Node,
-        karr: np.ndarray,
-        idx: np.ndarray,
-        visit: "_BatchVisit",
+        keys: list[float],
+        body: Callable[[int, list[tuple[InnerNode, int]]], None],
+        where: str,
     ) -> None:
-        """Route ``karr[idx]`` down from ``start``; call ``visit`` per leaf.
+        """Run the scalar ``body`` per batch position, one lock per interval.
 
-        Structural accounting matches the scalar walk: one node hop and one
-        model evaluation per key per inner node on its path, with ``None``
-        children materialised on demand exactly as :meth:`_descend` does.
-        Each visit also receives the leaf's ``(parent, rank)`` slot (None
-        for a root leaf) so write visitors can split in place.
+        Positions are grouped by h-th-level interval with the counter-free
+        :meth:`_upper_walk`; each group then runs under one query lock, in
+        stream order, and every key is charged its upper walk exactly as
+        the scalar op's :meth:`_descend_upper` charges it. ``body(i,
+        upper)`` is the rest of the scalar op for position ``i``. A split
+        of a leaf above the lock boundary moves the keys behind it to a
+        deeper interval: the group's remaining keys are regrouped in a
+        next round, so each key still runs under its own interval's lock.
         """
-        stack: list[tuple[Node, np.ndarray, InnerNode | None, int]] = [
-            (start, idx, None, 0)
-        ]
-        while stack:
-            node, sub, parent, rank = stack.pop()
-            if isinstance(node, LeafNode):
-                visit(node, sub, parent, rank)
-                continue
-            self.counters.node_hops += int(sub.size)
-            ranks = node.route_batch(karr[sub])
-            order = np.argsort(ranks, kind="stable")
-            sorted_ranks = ranks[order]
-            cuts = np.flatnonzero(np.diff(sorted_ranks)) + 1
-            for group in np.split(order, cuts):
-                child_rank = int(ranks[group[0]])
-                child = node.children[child_rank]
-                if child is None:
-                    low, high = node.child_interval(child_rank)
-                    child = make_leaf(
-                        np.empty(0), [], low, high, self.config, self.counters
-                    )
-                    node.children[child_rank] = child
-                stack.append((child, sub[group], node, child_rank))
-
-    def _group_upper(
-        self, karr: np.ndarray, idx: np.ndarray
-    ) -> list[tuple[tuple[int, ...], tuple[InnerNode, int] | None, np.ndarray]]:
-        """Partition ``karr[idx]`` by h-th-level interval.
-
-        Vectorised counterpart of :meth:`_descend_upper`: walks only the
-        immutable upper ``h - 1`` levels (no lock needed), counting the
-        same hops and model evaluations. Returns ``(ids, boundary, idx)``
-        per group, where ``boundary`` is the ``(parent, rank)`` slot to
-        re-read under the interval lock (None when the root itself is the
-        boundary). Within each group the original stream order of ``idx``
-        is preserved.
-        """
-        boundary = max(1, self.config.h - 1)
-        results: list[
-            tuple[tuple[int, ...], tuple[InnerNode, int] | None, np.ndarray]
-        ] = []
-        stack: list[
-            tuple[Node | None, tuple[int, ...], tuple[InnerNode, int] | None, np.ndarray]
-        ] = [(self._root, (), None, idx)]
-        while stack:
-            node, ids, last, sub = stack.pop()
-            if not isinstance(node, InnerNode) or len(ids) >= boundary:
-                results.append((ids, last, sub))
-                continue
-            self.counters.node_hops += int(sub.size)
-            ranks = node.route_batch(karr[sub])
-            order = np.argsort(ranks, kind="stable")
-            sorted_ranks = ranks[order]
-            cuts = np.flatnonzero(np.diff(sorted_ranks)) + 1
-            for group in np.split(order, cuts):
-                rank = int(ranks[group[0]])
-                stack.append(
-                    (node.children[rank], ids + (rank,), (node, rank), sub[group])
-                )
-        return results
-
-    def _reread_boundary(self, last: tuple[InnerNode, int] | None) -> Node:
-        """Re-read a boundary child under its lock (see :meth:`_descend_lower`).
-
-        The retrainer may have swapped the subtree between the unlocked
-        upper walk and lock acquisition, so the pointer is read again here;
-        an interval that never received keys is materialised as an empty
-        leaf, exactly as the scalar path does.
-        """
-        if last is None:
-            assert self._root is not None
-            return self._root
-        parent, rank = last
-        node = parent.children[rank]
-        if node is None:
-            low, high = parent.child_interval(rank)
-            node = make_leaf(np.empty(0), [], low, high, self.config, self.counters)
-            parent.children[rank] = node
-        return node
+        lm = self.lock_manager
+        assert lm is not None
+        pending = list(range(len(keys)))
+        while pending:
+            groups: dict[
+                tuple[int, ...], tuple[list[tuple[InnerNode, int]], list[int]]
+            ] = {}
+            for i in pending:
+                ids, upper = self._upper_walk(keys[i])
+                groups.setdefault(ids, (upper, []))[1].append(i)
+            pending.clear()
+            epoch = self._topology_epoch
+            for ids, (upper, idx) in groups.items():
+                with lm.query_lock(ids, self.counters):
+                    lm.assert_interval_locked(ids, where=where)
+                    for n, i in enumerate(idx):
+                        if (
+                            self._topology_epoch != epoch
+                            and self._upper_walk(keys[i])[0] != ids
+                        ):
+                            pending.extend(idx[n:])
+                            break
+                        self.counters.node_hops += len(upper)
+                        self.counters.model_evals += len(upper)
+                        body(i, upper)
 
     def _plan_version(self) -> int:
         """Cache key of the fused batch plan: the topology epoch.
@@ -886,12 +714,24 @@ class ChameleonIndex(BaseIndex):
                     f"not quiescent: readers={state[0]}, retraining={state[1]}",
                 )
 
+    @declared_contract("counter_neutral")
     def _locate_leaf(self, key: float) -> LeafNode | None:
-        """Pure Eq. 1 descent for validation — no lock, no materialisation."""
+        """Pure Eq. 1 descent — no lock, no materialisation, no counters."""
         node: Node | None = self._root
         while isinstance(node, InnerNode):
-            node = node.children[node.route(key)]
+            node = node.children[node.raw_route(key)]
         return node
+
+    @declared_contract("counter_neutral")
+    def _stores(self, key: float) -> bool:
+        """Whether ``key`` is stored, without counter traffic or locks.
+
+        Certifies lock-path insert batches: only a batch that cannot raise
+        on a duplicate may run interval by interval instead of in stream
+        order.
+        """
+        leaf = self._locate_leaf(key)
+        return leaf is not None and bool((leaf.ebh._keys == key).any())
 
     # -- persistence -----------------------------------------------------------------
 
@@ -982,15 +822,24 @@ class ChameleonIndex(BaseIndex):
         """Walk the immutable upper h-1 levels; return (ids, path).
 
         The retrainer never modifies nodes above the lock boundary
-        (Section V-A), so this walk is safe without any lock.
+        (Section V-A), so this walk is safe without any lock. Charges one
+        node hop and one model evaluation per level walked.
         """
+        ids, path = self._upper_walk(key)
+        self.counters.node_hops += len(path)
+        self.counters.model_evals += len(path)
+        return ids, path
+
+    def _upper_walk(
+        self, key: Key
+    ) -> tuple[tuple[int, ...], list[tuple[InnerNode, int]]]:
+        """:meth:`_descend_upper` without counter traffic."""
         node = self._root
         ranks: list[int] = []
         path: list[tuple[InnerNode, int]] = []
         boundary = max(1, self.config.h - 1)
         while isinstance(node, InnerNode) and len(ranks) < boundary:
-            self.counters.node_hops += 1
-            rank = node.route(key)
+            rank = node.raw_route(key)
             ranks.append(rank)
             path.append((node, rank))
             node = node.children[rank]

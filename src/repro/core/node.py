@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Union
 
-import numpy as np
-
 from ..baselines.counters import Counters
 from .ebh import ErrorBoundedHash
 
@@ -103,25 +101,16 @@ class InnerNode:
     def route(self, key: float) -> int:
         """Eq. 1: the child rank for ``key``, clamped into [0, fanout)."""
         self.counters.model_evals += 1
-        span = self.high_key - self.low_key
-        rank = int(self.fanout * (key - self.low_key) / span)
+        return self.raw_route(key)
+
+    def raw_route(self, key: float) -> int:
+        """Eq. 1 without counter traffic (certification paths)."""
+        rank = int(self.fanout * (key - self.low_key) / (self.high_key - self.low_key))
         if rank < 0:
             return 0
         if rank >= self.fanout:
             return self.fanout - 1
         return rank
-
-    def route_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised Eq. 1 over a key vector.
-
-        Counts one model evaluation per key — identical totals to calling
-        :meth:`route` in a loop — and truncates toward zero before
-        clamping, matching the scalar ``int()`` semantics exactly.
-        """
-        self.counters.model_evals += int(keys.size)
-        span = self.high_key - self.low_key
-        ranks = np.trunc(self.fanout * (keys - self.low_key) / span).astype(np.int64)
-        return np.clip(ranks, 0, self.fanout - 1)
 
     def child_interval(self, rank: int) -> tuple[float, float]:
         """The key interval [lk_i, uk_i) of child ``rank``."""

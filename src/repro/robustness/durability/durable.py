@@ -195,12 +195,11 @@ class DurableIndex:
         """Batch insert: one bulk WAL record when no key can raise.
 
         A counter-neutral peek certifies the batch (unique keys, none
-        present); certified batches run the index's vectorised
-        ``insert_batch`` and log one INSERT_BATCH frame — one append, one
-        fsync under ``always`` — with batch-level rollback: if the apply
-        dies mid-batch or the append fails, every key the batch placed is
-        removed before the error propagates, so memory and log never
-        diverge. Uncertified batches (an in-batch duplicate, a key already
+        present); certified batches run ``index.insert_batch`` and log
+        one INSERT_BATCH frame — one append, one fsync under ``always`` —
+        with batch-level rollback: if the apply dies mid-batch or the
+        append fails, every key the batch placed is removed before the
+        error propagates, so memory and log never diverge. Uncertified batches (an in-batch duplicate, a key already
         present) fall back to the per-op loop, which preserves the scalar
         stream's exact semantics: a mid-batch ``DuplicateKeyError`` leaves
         every earlier key applied *and* individually logged.
@@ -248,7 +247,7 @@ class DurableIndex:
         """Batch delete; one bulk WAL record covering the removed keys.
 
         The peek capturing rollback values is counter-neutral, the apply
-        is the index's vectorised ``delete_batch``, and the single
+        is ``index.delete_batch``, and the single
         DELETE_BATCH frame logs only the keys that were actually present.
         A mid-apply or append failure reinserts every key the batch had
         removed (with its peeked value) before propagating.

@@ -5,7 +5,7 @@ it returns exactly what the scalar loop would return AND increments the
 structural counters by exactly the scalar totals — the only permitted
 divergence is lock amortisation (`lock_acquisitions`/`lock_waits` may
 shrink under a lock manager, never grow). These tests pin that contract
-with randomized streams for Chameleon (grouped, fused, and lock paths)
+with randomized streams for Chameleon (fused, scalar, and lock paths)
 and for every baseline with a vectorised override, plus the exact probe
 geometry of the deduplicated EBH ring scan.
 """
@@ -22,6 +22,7 @@ from repro.core.config import ChameleonConfig
 from repro.core.ebh import ErrorBoundedHash
 from repro.core.index import ChameleonIndex
 from repro.core.interval_lock import IntervalLockManager
+from repro.core.node import InnerNode, walk_leaves
 from repro.datasets import load as load_dataset
 from repro.workloads import OpKind, Operation, run_workload, run_workload_batched
 
@@ -100,7 +101,6 @@ class TestEBHProbeGeometry:
 
     def test_batch_lookup_probe_counts_match_scalar(self):
         ebh = self._build()
-        # >= _BATCH_MIN keys so the vectorised window gather runs.
         batch = list(self.KEYS) + [self.MISS, self.KEYS[0], self.KEYS[2], self.MISS]
         before = ebh.counters.snapshot()
         got = ebh.lookup_batch(np.asarray(batch))
@@ -293,6 +293,64 @@ class TestChameleonBatchEquivalence:
         assert b._batch_plan is plan
         assert b.counters == a.counters
         assert sorted(a.items()) == sorted(b.items())
+        assert b.verify_integrity().ok
+
+    def test_ring_apex_leaf_matches_scalar(self):
+        """A leaf whose conflict degree reached the ring apex (cd == c // 2
+        on an even capacity): the fused probe windows must count the apex
+        slot once, as the scalar scan does, for lookup and delete hits and
+        misses alike.
+
+        Only a full leaf can place a key at the apex — every other slot
+        lies nearer its home — so the leaf fills under ``max_leaf_load=1``
+        and its last key is one whose home slot faces the last free slot.
+        """
+        from repro.core.index import _FUSED_MIN
+
+        keys = load_dataset("UDEN", 2000, seed=3)
+        config = ChameleonConfig(max_leaf_load=1.0)
+        a = ChameleonIndex(config, strategy="ChaB")
+        b = ChameleonIndex(config, strategy="ChaB")
+        a.bulk_load(keys)
+        b.bulk_load(keys)
+        leaf = next(
+            lf
+            for lf in sorted(walk_leaves(b._root), key=lambda lf: lf.ebh.capacity)
+            if lf.ebh.capacity % 2 == 0 and lf.ebh.capacity >= 8
+        )
+        e = leaf.ebh
+        cap = e.capacity
+        rng = np.random.default_rng(29)
+        taken = {float(k) for k in keys}
+        misses = _leaf_keys(b, leaf, 8, rng, taken)  # never inserted
+        for k in _leaf_keys(b, leaf, cap - 1 - e.n_keys, rng, taken):
+            a.insert(k)
+            b.insert(k)
+        (free,) = np.flatnonzero(np.isnan(e._keys)).tolist()
+        while True:
+            (k,) = _leaf_keys(b, leaf, 1, rng, taken)
+            if e._raw_home_slot(k) == (free + cap // 2) % cap:
+                break
+        a.insert(k)
+        b.insert(k)
+        assert e.n_keys == cap and e.conflict_degree == cap // 2
+
+        stored = [k for k, _ in e.sorted_items()]
+        others = rng.choice(keys, _FUSED_MIN, replace=False).tolist()
+        probe = np.asarray(stored + misses + others)
+        assert b.lookup_batch(probe) == [a.lookup(float(x)) for x in probe]
+        plan = b._batch_plan
+        assert plan is not None
+        lid = plan.leaves.index(leaf)
+        assert not plan.leaf_detached[lid] and plan.leaf_cd[lid] == cap // 2
+        assert b.counters == a.counters
+
+        gone = np.asarray(stored[::2] + [k] + misses + others[: _FUSED_MIN // 2])
+        gone = gone[np.unique(gone, return_index=True)[1]]
+        assert gone.size >= _FUSED_MIN
+        assert b.delete_batch(gone) == [a.delete(float(x)) for x in gone]
+        assert b._batch_plan is plan
+        assert b.counters == a.counters
         assert b.verify_integrity().ok
 
     def test_delete_batch_equivalence(self):
@@ -500,6 +558,43 @@ class TestChameleonLockPath:
         assert sorted(a.items()) == sorted(b.items())
         assert b.lock_manager is not None
         assert b.lock_manager.race_report() == []
+
+    def test_split_above_lock_boundary_regroups_the_rest(self):
+        """A root slot with no bulk-loaded keys holds a leaf above the lock
+        boundary; when a batch splits it, the keys behind the split belong
+        to deeper intervals. They must run under those intervals' locks and
+        be charged the longer upper walk, as the scalar stream does."""
+        rng = np.random.default_rng(0)
+        keys = np.unique(
+            np.concatenate([rng.uniform(0, 1e6, 600), rng.uniform(9e6, 1e7, 600)])
+        )
+        config = ChameleonConfig(leaf_target_keys=16, leaf_split_keys=48)
+
+        def build() -> ChameleonIndex:
+            manager = IntervalLockManager(debug_asserts=True)
+            ix = ChameleonIndex(config, strategy="ChaB", lock_manager=manager)
+            ix.bulk_load(keys)
+            return ix
+
+        a, b = build(), build()
+        rank = a._root.children.index(None)
+        lo, hi = a._root.child_interval(rank)
+        wave_rng = np.random.default_rng(3)
+        wave = np.unique(lo + (hi - lo) * (0.3 + wave_rng.lognormal(0.0, 3.0, 300) / 5e3))
+        wave = wave[wave < hi]
+        wave_rng.shuffle(wave)
+        for k in wave.tolist():
+            a.insert(k)
+        assert a.counters.splits > 0  # the scenario really split
+        assert isinstance(a._root.children[rank], InnerNode)
+        b.insert_batch(wave)
+        scalar, batch = a.counters.snapshot(), b.counters.snapshot()
+        assert 1 < batch.pop("lock_acquisitions") < scalar.pop("lock_acquisitions")
+        assert batch == scalar
+        assert sorted(a.items()) == sorted(b.items())
+        assert b.lock_manager is not None
+        assert b.lock_manager.race_report() == []
+        assert b.verify_integrity().ok
 
 
 class TestBaselineBatchOverrides:

@@ -1,13 +1,21 @@
-"""Stateful differential test of the cached fused batch plan.
+"""Stateful differential test of the batch executors.
 
-One bare ChameleonIndex runs a random interleaving of scalar lookups,
-inserts and deletes, the three batch ops at fused sizes, subtree swaps
-and whole-tree rebuilds — so the plan lives across scalar writes,
-rehashes, splits and topology changes. A scalar-only twin replays every
-step one key at a time, and a dict oracle holds the expected contents.
-After every step the results match the oracle and the structural
-counters match the twin's bit for bit (lock counters aside, as in
-test_batch_ops.py); at teardown both trees pass ``verify_integrity``.
+One ChameleonIndex runs a random interleaving of scalar lookups, inserts
+and deletes, the three batch ops (from single keys up to three times the
+fused threshold, deletes with repeated keys among them), subtree swaps
+and whole-tree rebuilds — so the cached fused plan lives across scalar
+writes, rehashes, splits and topology changes, and small batches take the
+scalar dispatch. A scalar-only twin replays every step one key at a time,
+and a dict oracle holds the expected contents. After every step the
+results match the oracle and the structural counters match the twin's
+bit for bit (lock counters aside, as in test_batch_ops.py); at teardown
+both trees pass ``verify_integrity``.
+
+The same rules run twice: on bare indexes, where batches take the fused
+plan, and on indexes under an armed ``IntervalLockManager``, where they
+run the scalar bodies under one query lock per interval. There the batch
+index may take fewer locks than its twin, never more, and the race
+detector must stay silent.
 """
 
 import numpy as np
@@ -19,6 +27,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.baselines.interfaces import DuplicateKeyError
 from repro.core.config import ChameleonConfig
 from repro.core.index import _FUSED_MIN, ChameleonIndex
+from repro.core.interval_lock import IntervalLockManager
 from repro.datasets import load as load_dataset
 
 BASE = load_dataset("UDEN", 1200, seed=12)
@@ -33,21 +42,24 @@ CONFIG = ChameleonConfig(leaf_target_keys=16, leaf_split_keys=48)
 LOCK_COUNTERS = ("lock_acquisitions", "lock_waits")
 
 seeds = st.integers(0, 2**32 - 1)
-batch_sizes = st.integers(_FUSED_MIN, 3 * _FUSED_MIN)
+batch_sizes = st.integers(1, 3 * _FUSED_MIN)
 scalar_sizes = st.integers(1, 4)
 
 
-def _build() -> ChameleonIndex:
-    ix = ChameleonIndex(CONFIG, strategy="ChaB")
-    ix.bulk_load(BASE)
-    return ix
-
-
 class PlanMachine(RuleBasedStateMachine):
+    #: Run both indexes under an armed interval lock manager.
+    LOCKED = False
+
+    def _build(self) -> ChameleonIndex:
+        manager = IntervalLockManager(debug_asserts=True) if self.LOCKED else None
+        ix = ChameleonIndex(CONFIG, strategy="ChaB", lock_manager=manager)
+        ix.bulk_load(BASE)
+        return ix
+
     def __init__(self) -> None:
         super().__init__()
-        self.fused = _build()
-        self.twin = _build()
+        self.fused = self._build()
+        self.twin = self._build()
         self.oracle = {float(k): float(k) for k in BASE}
         #: Keys of the latest scalar inserts: batches revisit them, since a
         #: stale leaf state shows on the leaves scalar writes just touched.
@@ -146,6 +158,17 @@ class PlanMachine(RuleBasedStateMachine):
         assert self.fused.delete_batch(np.asarray(keys)) == want
         assert [self.twin.delete(k) for k in keys] == want
 
+    @rule(seed=seeds, n=batch_sizes)
+    def delete_batch_with_repeats(self, seed: int, n: int) -> None:
+        """Repeated keys: only a key's first occurrence can remove it."""
+        rng = np.random.default_rng(seed)
+        keys = self._mixed(rng, n)
+        keys += rng.choice(keys, -(-n // 4)).tolist()
+        rng.shuffle(keys)
+        want = [self.oracle.pop(k, None) is not None for k in keys]
+        assert self.fused.delete_batch(np.asarray(keys)) == want
+        assert [self.twin.delete(k) for k in keys] == want
+
     # -- topology changes ----------------------------------------------------
 
     @rule(pick=st.integers(0, 2**16))
@@ -157,8 +180,8 @@ class PlanMachine(RuleBasedStateMachine):
             return
         ids, parent, rank = entries[pick % len(entries)]
         _, t_parent, t_rank = twin_entries[pick % len(entries)]
-        assert self.fused.rebuild_subtree(parent, rank, ids) == (
-            self.twin.rebuild_subtree(t_parent, t_rank, ids)
+        assert _rebuild(self.fused, parent, rank, ids) == (
+            _rebuild(self.twin, t_parent, t_rank, ids)
         )
 
     @rule()
@@ -171,11 +194,18 @@ class PlanMachine(RuleBasedStateMachine):
     def counters_match_twin(self) -> None:
         fused = self.fused.counters.snapshot()
         twin = self.twin.counters.snapshot()
+        assert fused["lock_acquisitions"] <= twin["lock_acquisitions"]
         for name in LOCK_COUNTERS:
             fused.pop(name)
             twin.pop(name)
         assert fused == twin
         assert len(self.fused) == len(self.twin) == len(self.oracle)
+
+    @invariant()
+    def no_lock_races(self) -> None:
+        for ix in (self.fused, self.twin):
+            if ix.lock_manager is not None:
+                assert ix.lock_manager.race_report() == []
 
     def teardown(self) -> None:
         assert sorted(self.fused.items()) == sorted(self.oracle.items())
@@ -183,11 +213,27 @@ class PlanMachine(RuleBasedStateMachine):
         assert self.twin.verify_integrity().ok
 
 
-PlanMachine.TestCase.settings = settings(
+def _rebuild(ix: ChameleonIndex, parent, rank: int, ids) -> int:
+    """``rebuild_subtree`` as the retrainer runs it: under the interval's
+    retraining lock when a lock manager is attached."""
+    if ix.lock_manager is None:
+        return ix.rebuild_subtree(parent, rank, ids)
+    with ix.lock_manager.retrain_lock(ids, ix.counters):
+        return ix.rebuild_subtree(parent, rank, ids)
+
+
+class LockedPlanMachine(PlanMachine):
+    LOCKED = True
+
+
+SETTINGS = settings(
     max_examples=20,
     stateful_step_count=25,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+PlanMachine.TestCase.settings = SETTINGS
+LockedPlanMachine.TestCase.settings = SETTINGS
 TestPlanMachine = PlanMachine.TestCase
+TestLockedPlanMachine = LockedPlanMachine.TestCase
