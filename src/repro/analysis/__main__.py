@@ -10,14 +10,16 @@ the analyzer's precision from regressing silently. ``--effects [PATH]``
 writes the interprocedural effect-summary artifact (may-raise sets,
 counter effects, resource findings, contract proof status), and
 ``--self-check-fixtures DIR`` verifies every registered rule has at
-least one bad and one good fixture under DIR — the guard against
-silently dead rules.
+least one bad and one good fixture under DIR, and that no fixture names
+an unregistered rule — the guards against silently dead rules and
+fixtures a deleted rule left behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -102,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "verify every registered rule has at least one bad and one "
-            "good fixture under DIR, then exit"
+            "good fixture under DIR and no fixture names an unregistered "
+            "rule, then exit"
         ),
     )
     return parser
@@ -113,6 +116,8 @@ def self_check_fixtures(root: Path) -> int:
 
     A rule whose fixtures went missing (or were never written) would pass
     every CI run vacuously; this check turns that silence into a failure.
+    So does an ``rlXXX*.py`` fixture whose rule is not registered: it
+    tests nothing.
     """
     if not root.is_dir():
         print(f"fixture directory not found: {root}", file=sys.stderr)
@@ -132,13 +137,21 @@ def self_check_fixtures(root: Path) -> int:
             f"{rule.rule_id}: {len(bad)} bad, {len(good)} good fixture(s) "
             f"[{status}]"
         )
+    registered = {rule.rule_id.lower() for rule in all_rules()}
+    orphans = [
+        path
+        for path in sorted(root.rglob("rl*.py"))
+        if re.match(r"rl\d{3}", path.name) and path.name[:5] not in registered
+    ]
+    for path in orphans:
+        rule_id = path.name[:5].upper()
+        print(f"{path}: fixture for unregistered rule {rule_id}", file=sys.stderr)
     if missing:
         print(
             f"rules without a full fixture pair: {', '.join(missing)}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return 1 if missing or orphans else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -151,10 +151,6 @@ class FunctionInfo:
     def location(self) -> str:
         return f"{self.ctx.path}:{self.node.lineno}"
 
-    @property
-    def is_async(self) -> bool:
-        return isinstance(self.node, ast.AsyncFunctionDef)
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -186,14 +182,12 @@ class LockSite:
     locks, ``<module>.<Class>.<attr>`` for typed mutex attributes, and a
     receiver-path fallback otherwise. ``line``/``end_line`` span the
     ``with`` statement so nested acquisitions and calls can be attributed
-    to the held region; ``bounded`` records a ``timeout=`` argument.
+    to the held region.
     """
 
     lock: str
     line: int
     end_line: int
-    bounded: bool = False
-    is_async_with: bool = False
 
 
 @dataclass
@@ -1179,22 +1173,12 @@ class CallGraph:
     ) -> LockSite | None:
         """Lock identity for a ``with`` context expression, or None."""
         end_line = getattr(with_node, "end_lineno", with_node.lineno) or with_node.lineno
-        is_async = isinstance(with_node, ast.AsyncWith)
         if (
             isinstance(expr, ast.Call)
             and isinstance(expr.func, ast.Attribute)
             and expr.func.attr in ("query_lock", "retrain_lock")
         ):
-            bounded = any(kw.arg == "timeout" for kw in expr.keywords) or (
-                expr.func.attr == "retrain_lock" and len(expr.args) >= 3
-            )
-            return LockSite(
-                lock=f"interval.{expr.func.attr}",
-                line=with_node.lineno,
-                end_line=end_line,
-                bounded=bounded,
-                is_async_with=is_async,
-            )
+            return LockSite(f"interval.{expr.func.attr}", with_node.lineno, end_line)
         target = expr
         if isinstance(target, ast.Attribute) and is_lockish_name(target.attr):
             recv = self._infer_type(table, frame, enclosing_class, target.value)
@@ -1203,19 +1187,9 @@ class CallGraph:
             else:
                 flat = _flatten_dotted(target.value)
                 owner = f"{table.key}.{flat}" if flat else table.key
-            return LockSite(
-                lock=f"{owner}.{target.attr}",
-                line=with_node.lineno,
-                end_line=end_line,
-                is_async_with=is_async,
-            )
+            return LockSite(f"{owner}.{target.attr}", with_node.lineno, end_line)
         if isinstance(target, ast.Name) and is_lockish_name(target.id):
-            return LockSite(
-                lock=f"{table.key}.{target.id}",
-                line=with_node.lineno,
-                end_line=end_line,
-                is_async_with=is_async,
-            )
+            return LockSite(f"{table.key}.{target.id}", with_node.lineno, end_line)
         return None
 
     # -- shared lookups ------------------------------------------------------

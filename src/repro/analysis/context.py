@@ -13,7 +13,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .callgraph import CallGraph
     from .coverage import ResolutionCoverage
     from .effects import EffectTable
-    from .interproc import SummaryTable
 
 
 def dotted_name(path: Path) -> str | None:
@@ -97,15 +96,14 @@ class ProjectContext:
 
     The engine builds one per run (``lint_source`` builds a single-module
     project, so interprocedural rules degrade gracefully to intra-module
-    resolution there). The call graph and the interprocedural summary
-    table are built lazily on first use and cached for the run — rules
-    share one fixpoint instead of recomputing it per module.
+    resolution there). The call graph and the effect table are built
+    lazily on first use and cached for the run — rules share one fixpoint
+    instead of recomputing it per module.
     """
 
     modules: list[ModuleContext] = field(default_factory=list)
     _by_path: dict[str, ModuleContext] = field(default_factory=dict, repr=False)
     _callgraph: "CallGraph | None" = field(default=None, repr=False)
-    _summaries: "SummaryTable | None" = field(default=None, repr=False)
     _effects: "EffectTable | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -121,15 +119,8 @@ class ProjectContext:
             self._callgraph = CallGraph.build(self.modules)
         return self._callgraph
 
-    def summaries(self) -> "SummaryTable":
-        if self._summaries is None:
-            from .interproc import compute_summaries
-
-            self._summaries = compute_summaries(self.callgraph())
-        return self._summaries
-
     def effects(self) -> "EffectTable":
-        """Interprocedural effect summaries (may-raise / counters / resources)."""
+        """Interprocedural effect summaries (raise/counter/block/lock/resource)."""
         if self._effects is None:
             from .effects import compute_effects
 

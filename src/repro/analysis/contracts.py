@@ -89,8 +89,8 @@ CURATED_SURFACES: dict[str, tuple[str, ...]] = {
         # The whole observability package: arming tracing/metrics must
         # never perturb the paper's structural cost model.
         "repro.obs.*",
-        # RL007's historical scope — every `verify_*` diagnostic — now
-        # checked interprocedurally instead of by lexical bracket match.
+        # Every `verify_*` diagnostic: probe work inside it must be
+        # bracketed by Counters.snapshot()/restore().
         "*.verify_*",
         # EBH raw-slot diagnostics used by tests and the heatmap tooling.
         "repro.core.ebh.*._raw_*",

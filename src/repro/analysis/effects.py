@@ -1,8 +1,7 @@
-"""Interprocedural effect analysis: may-raise, counter effect, resources.
+"""Interprocedural effect analysis: the one fixpoint behind every proof rule.
 
 Computes one :class:`EffectSummary` per function over the typed call
-graph, via the same reverse-edge worklist fixpoint as
-:mod:`repro.analysis.interproc` — but with *set-valued* facts:
+graph with a single reverse-edge worklist fixpoint. Its facts:
 
 * **may-raise** — the set of exception types that can escape the
   function, with a witness chain down to the raising site. A ``raise``
@@ -14,16 +13,47 @@ graph, via the same reverse-edge worklist fixpoint as
   ``raise`` re-raises the enclosing handler's caught set.
 * **net counter effect** — whether any :class:`~repro.baselines.
   counters.Counters` write (direct, or through a callee with a mutating
-  net effect) can execute outside a snapshot/restore bracket. This
-  generalizes RL007's lexical bracket match to true effect summaries:
-  a bracketed call to a mutating helper is *neutral*, an unbracketed
-  one is not, however deep the mutation sits.
+  net effect) can execute outside a snapshot/restore bracket. A
+  bracketed call to a mutating helper is *neutral*, an unbracketed one
+  is not, however deep the mutation sits.
+* **may-block** — the function, or anything it calls, performs blocking
+  work: ``time.sleep``, a condition/event ``.wait()``, ``os.fsync``,
+  blocking I/O (``open``/``input``), a retrain/rebuild entry point, a
+  retraining sweep, or a ``retrain_lock`` acquisition (taking the
+  exclusive lock waits for the interval's readers to drain). RL001
+  flags any call inside a ``query_lock`` body that may block.
+* **lock acquisitions** — every lock identity the function may take,
+  directly or through any callee, each with its witness chain. Feeds
+  the RL009 lock-order graph.
 * **resource pairing** — per-function findings for acquisition sites
   (``open``/``os.open``/``mkstemp``/``mmap``/lock ``.acquire()``) that
   can escape the function on an exception path without a ``finally`` /
   ``with`` / catch-all-handler release, computed against the converged
   may-raise facts so "exception path" means *provably possible* raise,
   not "any call at all".
+
+May-raise and counter effects combine per call site, because the
+site's guards decide what escapes. May-block and lock facts follow
+every edge of ``graph.edges`` instead, which also carries decorator,
+callable-argument and hook-slot edges: a wrapper that sleeps taints
+everything it wraps. Those two facts only grow, so a function keeps the
+first may-block and lock witnesses found for it, and their chains stay
+simple paths.
+
+Two walls stop may-block; a walled function never *receives* it,
+neither from its own body nor through a callee. The first is two
+modules. The fault injector (:mod:`repro.robustness.faults`) injects
+delays that *simulate* slow operations under test, so routing every hot
+path's ``fire()`` hook into a "may block" verdict would poison the whole
+graph. The durability layer (:mod:`repro.robustness.durability`)
+mirrors the index write API (``insert``/``delete``), so name-based
+resolution would route the index's internal calls through the WAL
+wrapper; the wrapper is apply-then-log, so its file I/O never runs
+under a query lock. The second wall is the lock protocol's own context
+managers (functions named ``query_lock``/``retrain_lock``): their
+condition waits are the sanctioned blocking, and their internal mutexes
+are released before they yield, so they neither block nor pass those
+mutexes to callers.
 
 Soundness model (documented, deliberate): external calls are assumed
 non-raising unless listed in the curated tables below — the analysis
@@ -40,14 +70,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .callgraph import CallGraph, FunctionInfo, FunctionNode
 from .contracts import curated_contracts_of, declared_in_ast
-from .interproc import COUNTER_RECEIVERS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 # -- exception hierarchy -----------------------------------------------------
 
@@ -169,6 +195,59 @@ ACQUIRE_BARE = {"open": "file", "mkstemp": "temp file"}
 #: Method releases recognised on a tracked resource.
 RELEASE_METHODS = frozenset({"close", "release", "shutdown", "terminate"})
 
+#: Receiver identifiers that designate a Counters instance by convention.
+COUNTER_RECEIVERS = frozenset({"counters", "_counters", "ctrs"})
+
+# -- blocking work -----------------------------------------------------------
+
+LOCK_METHODS = ("query_lock", "retrain_lock")
+
+#: Call-name fragments that count as blocking work.
+BLOCKING_FRAGMENTS = ("retrain", "rebuild")
+#: Exact terminal names that count as blocking work. "join" is deliberately
+#: absent: str.join is ubiquitous and harmless. "fsync" waits on the disk
+#: and is the single slowest syscall in the durability layer.
+BLOCKING_EXACT = ("sleep", "sweep_once", "wait", "fsync")
+#: Blocking I/O builtins (flagged only as plain-name calls).
+BLOCKING_BUILTINS = ("open", "input")
+
+#: Modules whose functions never receive may-block (see the docstring).
+BLOCKING_EXEMPT_MODULES = (
+    "repro.robustness.faults",
+    "repro.robustness.durability",
+)
+
+
+def blocking_reason_of(call: ast.Call) -> str | None:
+    """Why one call expression is blocking work, or None.
+
+    The direct (lexical) classification shared with RL001: exact names,
+    retrain/rebuild fragments, and the I/O builtins. Lock acquisitions
+    are classified from the call graph's lock sites instead.
+    """
+    func = call.func
+    name = _terminal(func)
+    if name is None:
+        return None
+    if isinstance(func, ast.Name) and name in BLOCKING_BUILTINS:
+        return f"blocking I/O builtin {name!r}"
+    if name in BLOCKING_EXACT:
+        return f"blocking call {name!r}"
+    if name in LOCK_METHODS:
+        return None
+    for fragment in BLOCKING_FRAGMENTS:
+        if fragment in name:
+            return f"{fragment} call {name!r}"
+    return None
+
+
+def _block_walled(info: FunctionInfo) -> bool:
+    """True when ``info`` never receives may-block (the two walls)."""
+    return info.name in LOCK_METHODS or any(
+        info.module == mod or info.module.startswith(mod + ".")
+        for mod in BLOCKING_EXEMPT_MODULES
+    )
+
 
 # -- facts -------------------------------------------------------------------
 
@@ -208,6 +287,18 @@ class CounterFact:
 
 
 @dataclass(frozen=True)
+class BlockFact:
+    """Witness for may-block: the direct reason (e.g. ``"blocking call
+    'sleep'"``) and the chain down to the function doing that work."""
+
+    reason: str
+    chain: tuple[str, ...]
+
+    def chain_text(self) -> str:
+        return " -> ".join(q.rsplit(".", 1)[-1] for q in self.chain)
+
+
+@dataclass(frozen=True)
 class ResourceFact:
     """One resource acquisition that can escape without release."""
 
@@ -226,10 +317,18 @@ class EffectSummary:
     raises: dict[str, RaiseFact] = field(default_factory=dict)
     counter_fact: CounterFact | None = None
     resources: tuple[ResourceFact, ...] = ()
+    block_fact: BlockFact | None = None
+    #: Lock identity -> witness chain (this function first, the function
+    #: containing the ``with`` last) for every lock it may acquire.
+    acquires_locks: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def counter_mutates(self) -> bool:
         return self.counter_fact is not None
+
+    @property
+    def may_block(self) -> bool:
+        return self.block_fact is not None
 
 
 # -- local (per-function) facts ----------------------------------------------
@@ -258,6 +357,11 @@ class _LocalFacts:
     calls: list[_CallFact] = field(default_factory=list)
     counter_write: tuple[int, str] | None = None
     has_acquires: bool = False
+    #: Behind a wall: never receives may-block (see the module docstring).
+    block_walled: bool = False
+    #: Direct blocking work (first blocking call, else a retrain_lock
+    #: acquisition); always None behind a wall.
+    blocking: str | None = None
 
 
 class _Hierarchy:
@@ -378,7 +482,7 @@ def _suppressed_types(stmt: ast.With | ast.AsyncWith) -> frozenset[str]:
 def _bracket_spans(fn: FunctionNode) -> list[tuple[int, int]]:
     """Line spans of snapshot/restore-bracketed ``try`` bodies.
 
-    A bracket is RL007's neutralizing shape, interprocedurally honored:
+    A bracket is the neutralizing shape RL013 honours:
     a ``.snapshot()`` call on a counters-ish receiver anywhere in the
     function, plus a ``try`` whose ``finally`` restores it — everything
     inside that ``try`` body has zero *net* counter effect.
@@ -430,12 +534,19 @@ class _LocalExtractor:
         self.info = info
         self.graph = graph
         self.hierarchy = hierarchy
-        self.facts = _LocalFacts()
+        self.facts = _LocalFacts(block_walled=_block_walled(info))
         self.brackets = _bracket_spans(info.node)
 
     def run(self) -> _LocalFacts:
         self._walk(list(self.info.node.body), guards=(), caught=())
-        return self.facts
+        facts = self.facts
+        if facts.blocking is None and not facts.block_walled:
+            sites = self.graph.lock_sites.get(self.info.qname, ())
+            if any(site.lock == "interval.retrain_lock" for site in sites):
+                # Taking the exclusive lock waits for the interval's
+                # readers to drain: blocking work in its own right.
+                facts.blocking = "retrain_lock acquisition"
+        return facts
 
     # -- statement walk ------------------------------------------------------
 
@@ -556,6 +667,8 @@ class _LocalExtractor:
             self.facts.has_acquires = True
         if isinstance(call.func, ast.Attribute) and call.func.attr == "acquire":
             self.facts.has_acquires = True
+        if self.facts.blocking is None and not self.facts.block_walled:
+            self.facts.blocking = blocking_reason_of(call)
         callees = tuple(
             sorted(
                 q
@@ -673,15 +786,24 @@ def compute_effects(graph: CallGraph) -> EffectTable:
 
     local: dict[str, _LocalFacts] = {}
     for qname, info in graph.functions.items():
-        local[qname] = _LocalExtractor(info, graph, hierarchy).run()
-        table.effects[qname] = EffectSummary(qname=qname)
+        facts = local[qname] = _LocalExtractor(info, graph, hierarchy).run()
+        # The direct block and lock facts seed the fixpoint.
+        table.effects[qname] = EffectSummary(
+            qname=qname,
+            block_fact=BlockFact(facts.blocking, (qname,)) if facts.blocking else None,
+            acquires_locks={site.lock: (qname,) for site in graph.lock_sites.get(qname, ())},
+        )
         declared = declared_in_ast(info.node) | curated_contracts_of(qname)
         if declared:
             table.declared[qname] = declared
 
-    # Reverse edges from the recorded call facts (not graph.edges: the
-    # call facts carry the per-site guard context the recombine needs).
+    # Callers from both reverse maps: the call facts (per-site guards for
+    # raises and counters) and graph.edges (blocking and lock facts).
+    callees_of = {q: sorted(graph.edges.get(q, ())) for q in graph.functions}
     callers: dict[str, set[str]] = {}
+    for qname, callees in callees_of.items():
+        for callee in callees:
+            callers.setdefault(callee, set()).add(qname)
     for qname, facts in local.items():
         for call in facts.calls:
             for callee in call.callees:
@@ -690,7 +812,13 @@ def compute_effects(graph: CallGraph) -> EffectTable:
     def recombine(qname: str) -> EffectSummary:
         info = graph.functions[qname]
         facts = local[qname]
-        summary = EffectSummary(qname=qname)
+        old = table.effects[qname]
+        # Block and lock facts only grow: keep the witnesses found first.
+        summary = EffectSummary(
+            qname=qname,
+            block_fact=old.block_fact,
+            acquires_locks=dict(old.acquires_locks),
+        )
         for exc, line, origin in facts.escaping_raises:
             summary.raises.setdefault(
                 exc,
@@ -745,6 +873,17 @@ def compute_effects(graph: CallGraph) -> EffectTable:
                         origin=inner.origin,
                         chain=(qname,) + inner.chain,
                     )
+        for callee in callees_of[qname]:
+            callee_summary = table.effects.get(callee)
+            if callee_summary is None:
+                continue
+            blocked = callee_summary.block_fact
+            if summary.block_fact is None and blocked and not facts.block_walled:
+                summary.block_fact = BlockFact(blocked.reason, (qname,) + blocked.chain)
+            if graph.functions[callee].name in LOCK_METHODS:
+                continue
+            for lock, chain in callee_summary.acquires_locks.items():
+                summary.acquires_locks.setdefault(lock, (qname,) + chain)
         return summary
 
     work = list(graph.functions)
@@ -754,19 +893,18 @@ def compute_effects(graph: CallGraph) -> EffectTable:
         queued.discard(qname)
         new = recombine(qname)
         old = table.effects[qname]
+        table.effects[qname] = new
+        # Only the fact *sets* drive the fixpoint, not the witnesses.
         if (
             set(new.raises) != set(old.raises)
             or new.counter_mutates != old.counter_mutates
+            or new.may_block != old.may_block
+            or len(new.acquires_locks) != len(old.acquires_locks)
         ):
-            table.effects[qname] = new
             for caller in callers.get(qname, ()):
                 if caller not in queued:
                     queued.add(caller)
                     work.append(caller)
-        else:
-            # Keep the first-converged witnesses stable; only the fact
-            # *sets* drive the fixpoint.
-            table.effects[qname] = new
 
     # Resource pairing runs once, against the converged raise facts.
     for qname, facts in local.items():

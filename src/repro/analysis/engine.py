@@ -164,7 +164,6 @@ def _lint_project(
     # attributed to the analyze phase, not to whichever rule runs first,
     # and so the resolution coverage exists even on a rule-less run.
     t0 = time.perf_counter()
-    project.summaries()
     report.effects = project.effects()
     report.timings["analyze"] = time.perf_counter() - t0
     report.resolution = project.coverage()

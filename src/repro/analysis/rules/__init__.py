@@ -14,11 +14,8 @@ from . import (  # noqa: F401  (imports register the rules)
     rl004_conformance,
     rl005_wall_clock,
     rl006_randomness,
-    rl007_diagnostics,
     rl008_emissions,
     rl009_lock_order,
-    rl010_async,
-    rl011_spawn,
     rl012_no_raise,
     rl013_counter_neutral,
     rl014_resources,

@@ -22,7 +22,7 @@ Two contracts from Section V-A of the paper, as implemented by
 
 This is a project rule: the engine hands it every module of the run at
 once, it resolves calls through :mod:`repro.analysis.callgraph` and
-consults the fixpoint summaries of :mod:`repro.analysis.interproc`, so
+consults the may-block facts of :mod:`repro.analysis.effects`, so
 blocking work hidden two helpers and one module away from the ``with``
 statement is still attributed — with the witness call chain in the
 finding message.
@@ -35,8 +35,8 @@ from typing import Iterator
 
 from ..callgraph import CallGraph
 from ..context import ModuleContext, ProjectContext
+from ..effects import LOCK_METHODS, EffectTable, blocking_reason_of
 from ..findings import Finding
-from ..interproc import LOCK_METHODS, SummaryTable, blocking_reason_of
 from ..registry import Rule, register_rule
 
 
@@ -122,12 +122,12 @@ class LockDisciplineRule(Rule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         graph = project.callgraph()
-        summaries = project.summaries()
+        effects = project.effects()
         for ctx in project.modules:
-            yield from self._check_module(ctx, graph, summaries)
+            yield from self._check_module(ctx, graph, effects)
 
     def _check_module(
-        self, ctx: ModuleContext, graph: CallGraph, summaries: SummaryTable
+        self, ctx: ModuleContext, graph: CallGraph, effects: EffectTable
     ) -> Iterator[Finding]:
         collector = _Collector()
         collector.visit(ctx.tree)
@@ -145,14 +145,14 @@ class LockDisciplineRule(Rule):
             )
 
         for body in collector.query_bodies:
-            yield from self._check_query_body(ctx, body, graph, summaries)
+            yield from self._check_query_body(ctx, body, graph, effects)
 
     def _check_query_body(
         self,
         ctx: ModuleContext,
         body: _QueryBody,
         graph: CallGraph,
-        summaries: SummaryTable,
+        effects: EffectTable,
     ) -> Iterator[Finding]:
         with_node = body.with_node
         for stmt in with_node.body:
@@ -186,7 +186,7 @@ class LockDisciplineRule(Rule):
                     continue
                 # Interprocedural: does any resolved callee's summary block?
                 yield from self._check_resolved_call(
-                    ctx, with_node, sub, body.enclosing_class, graph, summaries
+                    ctx, with_node, sub, body.enclosing_class, graph, effects
                 )
 
     def _check_resolved_call(
@@ -196,20 +196,19 @@ class LockDisciplineRule(Rule):
         call: ast.Call,
         enclosing_class: str | None,
         graph: CallGraph,
-        summaries: SummaryTable,
+        effects: EffectTable,
     ) -> Iterator[Finding]:
         for qname in sorted(graph.resolve_call_in(call, ctx, enclosing_class)):
-            summary = summaries.get(qname)
-            if summary is None or not summary.may_block:
+            summary = effects.effect_of(qname)
+            fact = summary.block_fact if summary is not None else None
+            if fact is None:
                 continue
             info = graph.functions[qname]
-            chain = summary.chain_text()
-            reason = summary.blocking_reason or "blocking work"
             yield self.finding(
                 ctx,
                 call,
                 f"call inside a query_lock body (line {with_node.lineno}) "
-                f"reaches blocking work: {chain} ({reason}; callee defined "
+                f"reaches blocking work: {fact.chain_text()} ({fact.reason}; callee defined "
                 f"at {info.location()}) — shared query locks must not hold "
                 "blocking work on any call path",
             )

@@ -26,14 +26,12 @@ from typing import Iterator
 
 from ...baselines.counters import Counters
 from ..context import ModuleContext
+from ..effects import COUNTER_RECEIVERS
 from ..findings import Finding
 from ..registry import Rule, register_rule, terminal_name
 
 #: Live field list — drift in counters.py automatically updates the rule.
 COUNTER_FIELDS = frozenset(f.name for f in dataclasses.fields(Counters))
-
-#: Receiver identifiers that designate a Counters instance by convention.
-COUNTER_RECEIVERS = frozenset({"counters", "_counters", "ctrs"})
 
 
 def _routes_through_counters(target: ast.Attribute) -> bool:

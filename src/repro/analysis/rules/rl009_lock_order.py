@@ -15,8 +15,8 @@ This rule builds a **lock-order graph**: one node per lock identity
 typed receiver table, so ``self._mutex`` in two different classes is two
 nodes, not one), and an edge ``A -> B`` whenever a function acquires
 ``B`` while holding ``A`` — lexically (a ``with`` nested inside another)
-or transitively (a call under ``with A`` whose interprocedural summary
-acquires ``B`` somewhere down the call chain). Any cycle in that graph is
+or transitively (a call under ``with A`` whose effect summary acquires
+``B`` somewhere down the call chain). Any cycle in that graph is
 a potential deadlock; every edge participating in a cycle is reported at
 its acquisition site with the witness call chain and the location of the
 opposing ordering.
@@ -24,8 +24,8 @@ opposing ordering.
 The protocol context managers themselves (functions named ``query_lock``
 / ``retrain_lock``) are exempt as edge *sources*: their internal mutex
 acquisitions are released before the generator yields, so they are never
-held across the caller's body (see :func:`repro.analysis.interproc`'s
-lock propagation for the matching exemption).
+held across the caller's body (:mod:`repro.analysis.effects` applies the
+matching exemption when it propagates lock acquisitions).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Iterator
 
 from ..callgraph import CallGraph
 from ..context import ProjectContext
+from ..effects import LOCK_METHODS, EffectTable
 from ..findings import Finding
-from ..interproc import LOCK_METHODS, SummaryTable
 from ..registry import Rule, register_rule
 
 
@@ -54,7 +54,7 @@ class _Witness:
 
 
 def _order_edges(
-    graph: CallGraph, summaries: SummaryTable
+    graph: CallGraph, effects: EffectTable
 ) -> dict[tuple[str, str], _Witness]:
     """Every held-while-acquiring pair, with its first witness."""
     edges: dict[tuple[str, str], _Witness] = {}
@@ -87,7 +87,7 @@ def _order_edges(
                     callee_info = graph.functions.get(callee)
                     if callee_info is not None and callee_info.name in LOCK_METHODS:
                         continue
-                    summary = summaries.get(callee)
+                    summary = effects.effect_of(callee)
                     if summary is None:
                         continue
                     for lock, chain in summary.acquires_locks.items():
@@ -134,8 +134,7 @@ class LockOrderRule(Rule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         graph = project.callgraph()
-        summaries = project.summaries()
-        edges = _order_edges(graph, summaries)
+        edges = _order_edges(graph, project.effects())
         adj: dict[str, set[str]] = {}
         for a, b in edges:
             adj.setdefault(a, set()).add(b)

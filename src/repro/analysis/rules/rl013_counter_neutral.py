@@ -2,21 +2,20 @@
 
 :class:`~repro.baselines.counters.Counters` is the machine-independent
 currency of every benchmark claim, so diagnostics and observability must
-not leak probe work into it. RL007 enforced that lexically — a
-``verify_*`` method either touches no counters or brackets its body
-with ``snapshot()``/``restore()``. This rule is the interprocedural
-generalization over the effect summaries of
+not leak probe work into it. A ``verify_*`` method must either touch no
+counters or bracket its body with ``snapshot()``/``restore()``, and this
+rule checks that promise over the effect summaries of
 :mod:`repro.analysis.effects`: a declared function is neutral when no
 counter write — direct, or reached through any chain of callees — can
 execute outside a neutralizing bracket. A bracketed call to a mutating
 helper is fine (the bracket rolls it back); an unbracketed one is a
-finding no matter how deep the write hides, which is exactly the case
-the lexical rule could not see.
+finding no matter how deep the write hides, which a lexical bracket
+match could not see.
 
 Scope: ``@declared_contract("counter_neutral")`` plus the curated table
 (all of ``repro.obs``, every ``verify_*`` diagnostic, the EBH
-``_raw_*`` slot probes). RL013 therefore subsumes every case the RL007
-fixtures cover, with witness chains instead of bracket heuristics.
+``_raw_*`` slot probes). ``tests/lint_fixtures/rl013_verify_*.py`` pin
+the ``verify_*`` cases.
 """
 
 from __future__ import annotations

@@ -212,7 +212,7 @@ def measure_obs_overhead(
     Runs :func:`_run_obs_workload` twice — once with both sinks swapped
     out, once with a fresh recorder and registry installed — and reports
     the wall-clock ratio plus the counter-neutrality verdicts the armed
-    mode must uphold (RL007: structural Counters are measurement, not
+    mode must uphold (RL013: structural Counters are measurement, not
     measured).
     """
     with obs.disarmed():
@@ -272,7 +272,7 @@ def measure_telemetry_overhead(
     a background :class:`~repro.obs.timeline.TimelineSampler` hammering
     the registry at 5 ms, the SLO latency windows observing every public
     index op, and a flight recorder armed into a scratch directory. The
-    contract mirrors RL007: structural Counters and lookup results must
+    contract mirrors RL013: structural Counters and lookup results must
     be bit-identical to the disarmed run — telemetry is measurement, not
     measured — and the *disarmed* flight guard must not allocate.
     """

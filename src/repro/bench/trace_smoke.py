@@ -9,7 +9,7 @@ subsystem promises:
 * the Prometheus text exposition round-trips through the strict parser
   with the histogram families populated;
 * structural Counters and lookup results are bit-identical armed vs.
-  disarmed (RL007: instrumentation is measurement, not measured).
+  disarmed (RL013: instrumentation is measurement, not measured).
 
 Exit status 0 when every check passes, 1 otherwise — CI's trace-smoke
 job runs this under ``REPRO_TRACE=1 REPRO_METRICS=1`` so the import-time

@@ -452,7 +452,7 @@ class ErrorBoundedHash:
 
         A statistics accessor, not query work: routes through the
         counter-neutral :meth:`_raw_home_slot` so diagnostics never perturb
-        the cost model (RL007).
+        the cost model (RL013).
         """
         key = self._keys[slot]
         if math.isnan(key):

@@ -25,7 +25,7 @@ Three parts (docs/observability.md is the full guide):
           ...
 
   Instrumentation is counter-neutral: structural Counters and results are
-  bit-identical armed vs. disarmed (RL007; pinned by tests/test_obs.py and
+  bit-identical armed vs. disarmed (RL013; pinned by tests/test_obs.py and
   the CI trace-smoke job).
 """
 

@@ -19,7 +19,7 @@ Containment contract: a diagnostics layer must never take down the host
 process, so every public surface here is ``@declared_contract("no_raise")``
 — the whole body runs under ``except Exception`` and failures land in
 :attr:`FlightRecorder.errors` instead of escaping (RL012 proves this on
-every CI run). Nothing touches structural Counters (RL007 / RL013).
+every CI run). Nothing touches structural Counters (RL013).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ allocation. These instruments are *observability* state, deliberately
 separate from the structural :class:`~repro.baselines.counters.Counters`
 cost model: observing a value never touches the shared Counters, and the
 instrumented sites never let metric work change what the cost model counts
-(the RL007 neutrality contract, pinned by tests/test_obs.py).
+(the RL013 neutrality contract, pinned by tests/test_obs.py).
 
 The registry knows the canonical Chameleon instruments (probe length,
 descent depth, lock waits, retrain cost units, per-leaf gauges) so call

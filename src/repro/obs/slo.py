@@ -12,7 +12,7 @@ Arming follows the :data:`ACTIVE` singleton-swap pattern: the index hot
 paths read ``slo.ACTIVE`` once per operation and skip the clock reads
 entirely when disarmed (``REPRO_SLO=1`` or :func:`repro.obs.arm_slo`
 arms it). Observation is ``no_raise`` and touches no structural Counters
-(RL007/RL013).
+(RL013).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Walks a built Chameleon tree and reports where the locally-skewed work
 lands: per-leaf occupancy, Theorem 1 capacity, load factor, overflow-chain
 length (the conflict degree ``cd`` that bounds every probe window), and
 accumulated update counters. Reading is pure attribute access — no
-:class:`~repro.baselines.counters.Counters` traffic, matching the RL007
+:class:`~repro.baselines.counters.Counters` traffic, matching the RL013
 counter-neutrality contract for diagnostics.
 
 When a metrics registry is armed (or passed explicitly) the tree-wide

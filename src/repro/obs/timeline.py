@@ -15,10 +15,9 @@ Chrome trace ``"C"`` counter events that merge into the existing Perfetto
 trace so counters render as tracks under the spans.
 
 Discipline: sampling reads observability state only — never structural
-Counters (RL007/RL013) — and the sampler thread is plain ``threading``
-(RL010 does not apply, RL011 exempts thread spawns). Public surfaces are
-``no_raise``: a sample that races a concurrent tree mutation drops the
-frame instead of taking down the host.
+Counters (RL013) — and the sampler thread is plain ``threading``.
+Public surfaces are ``no_raise``: a sample that races a concurrent tree
+mutation drops the frame instead of taking down the host.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ buffer growing without bound.
 Instrumentation discipline (see docs/observability.md): attribute values
 attached to spans/events must be computed *only when armed* (guard with
 ``if trace.ACTIVE is not None``) or already exist — the disarmed path must
-not stringify, allocate, or touch structural Counters (RL007 neutrality).
+not stringify, allocate, or touch structural Counters (RL013 neutrality).
 """
 
 from __future__ import annotations

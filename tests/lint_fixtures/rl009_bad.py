@@ -2,7 +2,7 @@
 
 ``WalStore`` is the classic lexical AB/BA pair; ``Mixed`` hides one side
 of the inversion behind a helper call, so the edge only exists through
-the interprocedural ``acquires_locks`` summaries. Never imported.
+the ``acquires_locks`` facts of the effect summaries. Never imported.
 """
 
 import threading

@@ -1,4 +1,5 @@
-"""Known-bad fixture for RL007 (counter-neutral diagnostics). Never imported."""
+"""Known-bad fixture for RL013: ``verify_*`` diagnostics with a net counter
+effect (no snapshot/restore bracket). Never imported."""
 
 
 class LeakyIndex:
@@ -11,12 +12,12 @@ class LeakyIndex:
         self.counters.comparisons += 1
         return key
 
-    def verify_order(self):  # expect[RL007]
+    def verify_order(self):  # expect[RL013]
         # Direct mutation, no snapshot/restore bracket.
         self.counters.node_hops += 1
         return True
 
-    def verify_reachable(self, keys):  # expect[RL007]
+    def verify_reachable(self, keys):  # expect[RL013]
         # Transitive mutation through probe(), no bracket.
         for k in keys:
             self.probe(k)

@@ -1,4 +1,5 @@
-"""Known-good fixture for RL007: bracketed or counter-free diagnostics."""
+"""Known-good fixture for RL013: bracketed or counter-free ``verify_*``
+diagnostics. Never imported."""
 
 
 class NeutralIndex:
@@ -25,6 +26,7 @@ class NeutralIndex:
 
     def _verify_structure(self):
         # Leading underscore: contract-bound to run under the
-        # verify_integrity bracket, deliberately out of RL007's scope.
+        # verify_integrity bracket, deliberately outside the curated
+        # ``*.verify_*`` counter_neutral surface.
         self.counters.node_hops += 1
         return 0

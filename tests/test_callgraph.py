@@ -1,4 +1,5 @@
-"""Unit tests for the project call graph and the interprocedural summaries.
+"""Unit tests for the project call graph and the effect summaries' may-block,
+lock and counter facts.
 
 Everything here builds graphs from in-memory modules via
 ``ModuleContext.from_source`` — no files, no imports executed — mirroring
@@ -11,7 +12,7 @@ import pytest
 
 from repro.analysis.callgraph import MAX_NAME_CANDIDATES, CallGraph
 from repro.analysis.context import ModuleContext, ProjectContext
-from repro.analysis.interproc import compute_summaries
+from repro.analysis.effects import compute_effects
 
 
 def project(*sources: tuple[str, str, str | None]) -> ProjectContext:
@@ -294,19 +295,6 @@ class TestLockSites:
         assert site.lock == "interval.retrain_lock"
         assert site.line <= site.end_line
 
-    def test_timeout_keyword_marks_the_site_bounded(self):
-        ctx = project(
-            (
-                "m.py",
-                "def swap(mgr, ids):\n"
-                "    with mgr.query_lock(ids, timeout=0.5):\n"
-                "        pass\n",
-                "m",
-            )
-        )
-        (site,) = ctx.callgraph().lock_sites["m.swap"]
-        assert site.bounded
-
     def test_typed_mutex_attribute_gets_class_scoped_identity(self):
         ctx = project(
             (
@@ -359,6 +347,8 @@ class TestCoverage:
 
 
 class TestSummaries:
+    """May-block, lock and counter facts of the effect summaries."""
+
     def test_direct_and_transitive_blocking(self):
         ctx = project(
             (
@@ -375,16 +365,16 @@ class TestSummaries:
                 "m",
             )
         )
-        table = compute_summaries(ctx.callgraph())
-        assert table.get("m.nap").blocks_directly
-        assert table.may_block("m.relay")
-        assert table.may_block("m.outer")
-        assert table.get("m.outer").blocking_chain == (
+        table = compute_effects(ctx.callgraph())
+        assert table.effect_of("m.nap").block_fact.chain == ("m.nap",)
+        assert table.effect_of("m.relay").may_block
+        assert table.effect_of("m.outer").may_block
+        assert table.effect_of("m.outer").block_fact.chain == (
             "m.outer",
             "m.relay",
             "m.nap",
         )
-        assert not table.may_block("m.clean")
+        assert not table.effect_of("m.clean").may_block
 
     def test_recursion_reaches_fixpoint(self):
         ctx = project(
@@ -399,9 +389,9 @@ class TestSummaries:
                 "m",
             )
         )
-        table = compute_summaries(ctx.callgraph())
-        assert table.may_block("m.a")
-        assert table.may_block("m.b")
+        table = compute_effects(ctx.callgraph())
+        assert table.effect_of("m.a").may_block
+        assert table.effect_of("m.b").may_block
 
     def test_retrain_lock_acquisition_is_blocking(self):
         ctx = project(
@@ -413,10 +403,10 @@ class TestSummaries:
                 "m",
             )
         )
-        summary = compute_summaries(ctx.callgraph()).get("m.swap")
-        assert summary.acquires_retrain_lock
+        summary = compute_effects(ctx.callgraph()).effect_of("m.swap")
+        assert "interval.retrain_lock" in summary.acquires_locks
         assert summary.may_block
-        assert summary.blocking_reason == "retrain_lock acquisition"
+        assert summary.block_fact.reason == "retrain_lock acquisition"
 
     def test_counter_mutation_direct_and_transitive(self):
         ctx = project(
@@ -429,10 +419,10 @@ class TestSummaries:
                 "m",
             )
         )
-        table = compute_summaries(ctx.callgraph())
-        assert table.mutates_counters("m.bump")
-        assert table.mutates_counters("m.probe")
-        assert table.get("m.probe").counter_chain == ("m.probe", "m.bump")
+        table = compute_effects(ctx.callgraph())
+        assert table.effect_of("m.bump").counter_mutates
+        assert table.effect_of("m.probe").counter_mutates
+        assert table.effect_of("m.probe").counter_fact.chain == ("m.probe", "m.bump")
 
     def test_faults_module_is_exempt_from_blocking(self):
         ctx = project(
@@ -442,9 +432,38 @@ class TestSummaries:
                 "repro.robustness.faults",
             )
         )
-        assert not compute_summaries(ctx.callgraph()).may_block(
-            "repro.robustness.faults.fire"
+        table = compute_effects(ctx.callgraph())
+        assert not table.effect_of("repro.robustness.faults.fire").may_block
+
+    def test_durability_module_is_a_wall_for_propagated_blocking(self):
+        # The WAL fsyncs outside the wall; the durability wrapper that calls
+        # it, and an index path that resolves into the wrapper by name, must
+        # not receive may-block through the call chain.
+        ctx = project(
+            (
+                "src/repro/robustness/wal.py",
+                "import os\ndef sync(fd):\n    os.fsync(fd)\n",
+                "repro.robustness.wal",
+            ),
+            (
+                "src/repro/robustness/durability.py",
+                "from repro.robustness.wal import sync\n"
+                "def commit(fd):\n"
+                "    sync(fd)\n",
+                "repro.robustness.durability",
+            ),
+            (
+                "m.py",
+                "from repro.robustness.durability import commit\n"
+                "def insert(fd):\n"
+                "    commit(fd)\n",
+                "m",
+            ),
         )
+        table = compute_effects(ctx.callgraph())
+        assert table.effect_of("repro.robustness.wal.sync").may_block
+        assert not table.effect_of("repro.robustness.durability.commit").may_block
+        assert not table.effect_of("m.insert").may_block
 
     def test_lock_manager_methods_are_exempt(self):
         # The protocol's own condition waits are sanctioned blocking.
@@ -457,9 +476,8 @@ class TestSummaries:
                 "m",
             )
         )
-        assert not compute_summaries(ctx.callgraph()).may_block(
-            "m.Mgr.query_lock"
-        )
+        table = compute_effects(ctx.callgraph())
+        assert not table.effect_of("m.Mgr.query_lock").may_block
 
 
 class TestRealProject:
@@ -474,20 +492,18 @@ class TestRealProject:
         return ProjectContext(modules=modules)
 
     def test_retrainer_sweep_may_block(self, src_project):
-        table = src_project.summaries()
-        assert table.may_block("repro.core.retrainer.RetrainingThread.sweep_once")
+        table = src_project.effects()
+        assert table.effect_of("repro.core.retrainer.RetrainingThread.sweep_once").may_block
 
     def test_index_lookup_does_not_block(self, src_project):
-        table = src_project.summaries()
-        assert not table.may_block("repro.core.index.ChameleonIndex.lookup")
+        table = src_project.effects()
+        assert not table.effect_of("repro.core.index.ChameleonIndex.lookup").may_block
 
     def test_lock_manager_counter_mutation_recorded(self, src_project):
         # query_lock bumps counters.lock_acquisitions — a direct mutation
         # the summary must record even though the function itself is
         # exempt from *blocking* facts.
-        table = src_project.summaries()
-        summary = table.get(
-            "repro.core.interval_lock.IntervalLockManager.query_lock"
-        )
-        assert summary is not None and summary.mutates_counters
+        table = src_project.effects()
+        summary = table.effect_of("repro.core.interval_lock.IntervalLockManager.query_lock")
+        assert summary is not None and summary.counter_mutates
         assert not summary.may_block  # protocol exemption

@@ -11,12 +11,11 @@ registry.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import compute_effects, get_rule, lint_paths
+from repro.analysis import all_rules, compute_effects, get_rule, lint_paths
 from repro.analysis.__main__ import main as lint_main
 from repro.analysis.context import ModuleContext, ProjectContext
 from repro.analysis.contracts import (
@@ -270,32 +269,6 @@ class TestContracts:
         }
 
 
-class TestRL013SubsumesRL007:
-    """RL013's effect summaries must cover RL007's lexical bracket rule."""
-
-    _EXPECT = re.compile(r"#\s*expect\[RL007\]")
-
-    def _marked_lines(self, path: Path) -> set[int]:
-        return {
-            lineno
-            for lineno, text in enumerate(
-                path.read_text().splitlines(), start=1
-            )
-            if self._EXPECT.search(text)
-        }
-
-    def test_rl013_flags_every_rl007_bad_case(self):
-        bad = FIXTURES / "rl007_bad.py"
-        report = lint_paths([bad], rules=[get_rule("RL013")])
-        assert {f.line for f in report.findings} == self._marked_lines(bad)
-
-    def test_rl013_clean_on_rl007_good_cases(self):
-        report = lint_paths(
-            [FIXTURES / "rl007_good.py"], rules=[get_rule("RL013")]
-        )
-        assert report.findings == []
-
-
 class TestWitnessChains:
     def test_every_rl012_finding_names_a_path(self):
         report = lint_paths(
@@ -371,3 +344,18 @@ class TestFixtureSelfCheck:
         assert lint_main(["--self-check-fixtures", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "MISSING" in out
+
+    def test_self_check_fails_on_fixture_of_unregistered_rule(self, tmp_path, capsys):
+        # A full fixture set for every registered rule, plus a leftover
+        # pair for a rule id that is not registered (a deleted rule).
+        for rule in all_rules():
+            rid = rule.rule_id.lower()
+            (tmp_path / f"{rid}_bad.py").write_text("x = 1\n")
+            (tmp_path / f"{rid}_good.py").write_text("x = 1\n")
+        assert lint_main(["--self-check-fixtures", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (tmp_path / "rl099_bad.py").write_text("x = 1\n")
+        (tmp_path / "rl099_good.py").write_text("x = 1\n")
+        assert lint_main(["--self-check-fixtures", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "RL099" in captured.out + captured.err

@@ -10,7 +10,7 @@ The contracts pinned here are the ISSUE-10 acceptance criteria:
 * disarmed, the flight recorder writes nothing and the trigger guard
   allocates nothing;
 * arming the full stack leaves structural Counters and results
-  bit-identical to a disarmed run (RL007 extended to the new sinks).
+  bit-identical to a disarmed run (RL013 extended to the new sinks).
 """
 
 from __future__ import annotations

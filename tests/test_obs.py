@@ -3,7 +3,7 @@
 The contracts pinned here are the ones docs/observability.md promises:
 
 * disarmed is the default and allocates nothing per operation;
-* armed instrumentation is counter-neutral (RL007: bit-identical
+* armed instrumentation is counter-neutral (RL013: bit-identical
   structural Counters and results either way);
 * the exports round-trip (Chrome trace validates, Prometheus parses back
   to the same samples);

@@ -62,15 +62,13 @@ def findings_for(path: Path, rule_id: str) -> set[tuple[str, int]]:
         ("RL005", "baselines/rl005_bad.py", "baselines/rl005_good.py"),
         ("RL005", "baselines/rl005_batch_bad.py", "baselines/rl005_batch_good.py"),
         ("RL006", "rl006_bad.py", "rl006_good.py"),
-        ("RL007", "rl007_bad.py", "rl007_good.py"),
         ("RL008", "core/rl008_bad.py", "core/rl008_good.py"),
         ("RL009", "rl009_bad.py", "rl009_good.py"),
-        ("RL010", "rl010_bad.py", "rl010_good.py"),
-        ("RL011", "rl011_bad.py", "rl011_good.py"),
         ("RL012", "rl012_bad.py", "rl012_good.py"),
         ("RL012", "rl012_flight_bad.py", "rl012_flight_good.py"),
         ("RL013", "rl013_bad.py", "rl013_good.py"),
         ("RL013", "rl013_timeline_bad.py", "rl013_timeline_good.py"),
+        ("RL013", "rl013_verify_bad.py", "rl013_verify_good.py"),
         (
             "RL013",
             "core/rl013_fused_insert_bad.py",
@@ -96,11 +94,8 @@ def test_fourteen_rules_registered():
         "RL004",
         "RL005",
         "RL006",
-        "RL007",
         "RL008",
         "RL009",
-        "RL010",
-        "RL011",
         "RL012",
         "RL013",
         "RL014",
@@ -247,7 +242,7 @@ def test_cli_exit_codes_and_flags(tmp_path, capsys):
 
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert out.count("RL0") == 14
+    assert out.count("RL0") == 11
 
 
 def test_cli_coverage_report_and_resolution_gate(tmp_path, capsys):
