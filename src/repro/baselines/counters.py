@@ -10,6 +10,7 @@ well as on wall-clock time; see DESIGN.md section 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 
 @dataclass
@@ -61,29 +62,34 @@ class Counters:
     retrain_recoveries: int = 0
     watchdog_restarts: int = 0
 
+    #: Counter field names in declaration order, computed once below the
+    #: class: ``dataclasses.fields()`` per call dominated snapshot/restore.
+    FIELD_NAMES: ClassVar[tuple[str, ...]] = ()
+
     def reset(self) -> None:
         """Zero every counter in place."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in self.FIELD_NAMES:
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict[str, int]:
         """Return a plain-dict copy of the current counter values."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.FIELD_NAMES}
 
     def restore(self, snapshot: dict[str, int]) -> None:
         """Reset every counter to an earlier :meth:`snapshot`.
 
         Lets diagnostic passes (integrity validation) probe the structure
-        without perturbing the cost model they run inside of.
+        without perturbing the cost model they run inside of. A name the
+        snapshot lacks (one taken before the counter existed) becomes 0.
         """
-        for f in fields(self):
-            setattr(self, f.name, snapshot.get(f.name, 0))
+        for name in self.FIELD_NAMES:
+            setattr(self, name, snapshot.get(name, 0))
 
     def diff(self, earlier: dict[str, int]) -> dict[str, int]:
         """Return per-counter deltas relative to an earlier snapshot."""
         return {
-            f.name: getattr(self, f.name) - earlier.get(f.name, 0)
-            for f in fields(self)
+            name: getattr(self, name) - earlier.get(name, 0)
+            for name in self.FIELD_NAMES
         }
 
     def total_search_work(self) -> int:
@@ -112,8 +118,11 @@ class Counters:
 
     def merge_from(self, other: "Counters") -> None:
         """Accumulate another counter set into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in self.FIELD_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+Counters.FIELD_NAMES = tuple(f.name for f in fields(Counters))
 
 
 @dataclass

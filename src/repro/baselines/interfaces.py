@@ -18,6 +18,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..analysis.contracts import declared_contract
 from .counters import Counters
 
 Key = float
@@ -168,6 +169,33 @@ class BaseIndex(abc.ABC):
     def delete_batch(self, keys: "Sequence[Key] | np.ndarray") -> list[bool]:
         """Delete a key vector; returns per-key presence flags in order."""
         return [self.delete(float(k)) for k in keys]
+
+    # -- peeks ------------------------------------------------------------------
+
+    @declared_contract("counter_neutral")
+    def peek(self, key: Key) -> Value | None:
+        """:meth:`lookup` outside the cost model and the telemetry.
+
+        For wrappers that must read a value without it counting as a
+        read — the durable delete's rollback value, for instance. The
+        default brackets :meth:`lookup` with a counter snapshot/restore;
+        an index that feeds armed telemetry sinks from its lookup
+        overrides this with a raw walk that feeds none.
+        """
+        before = self.counters.snapshot()
+        try:
+            return self.lookup(key)
+        finally:
+            self.counters.restore(before)
+
+    @declared_contract("counter_neutral")
+    def peek_batch(self, keys: "Sequence[Key]") -> list[Value | None]:
+        """:meth:`peek` per key; results aligned with ``keys``."""
+        before = self.counters.snapshot()
+        try:
+            return self.lookup_batch(keys)
+        finally:
+            self.counters.restore(before)
 
     def range_query(self, low: Key, high: Key) -> list[tuple[Key, Value]]:
         """Return ``(key, value)`` pairs with ``low <= key <= high``, sorted.

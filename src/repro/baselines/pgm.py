@@ -375,7 +375,8 @@ class PGMIndex(BaseIndex):
         stored = key if value is None else value
         if self.lookup(key) is not None:
             raise DuplicateKeyError(f"key already present: {key!r}")
-        self._tombstones.discard(key)
+        # A main-array tombstone stays: the key lives on in the buffer
+        # only, so a later delete (buffer first) leaves no copy behind.
         bi = bisect.bisect_left(self._buffer_keys, key)
         self._buffer_keys.insert(bi, key)
         self._buffer_values.insert(bi, stored)

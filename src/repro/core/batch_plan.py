@@ -370,12 +370,12 @@ class BatchQueryPlan:
         One gathered descent routes every key and one vectorised Eq. 2
         pass computes every home slot; placement then replays the scalar
         outward scan in stream order against the shared store — an
-        occupancy *simulation* in the spirit of the fused rehash, probing
-        slot values directly so duplicate detection, nearest-free-slot
-        choice, probe totals, and conflict-degree growth are the scalar
-        loop's, operation for operation. Per-leaf bookkeeping (``n_keys``,
-        ``update_count``, the plan's load/cd state) accumulates in plain
-        dicts and is flushed once per leaf.
+        occupancy *simulation* like :meth:`ErrorBoundedHash.place`, but
+        probing slot values directly so duplicate detection,
+        nearest-free-slot choice, probe totals, and conflict-degree growth
+        are the scalar loop's, operation for operation. Per-leaf
+        bookkeeping (``n_keys``, ``update_count``, the plan's load/cd
+        state) accumulates in plain dicts and is flushed once per leaf.
 
         Keys the fast path cannot take — a load-trigger point, a leaf
         that rehashed (detached) or split (dirty) earlier in the batch, a
@@ -553,6 +553,10 @@ class BatchQueryPlan:
             for lid in lids_v.tolist():
                 ebhs[lid].n_keys += 1
                 leaves[lid].update_count += 1
+            drift = index._drift
+            if drift is not None:
+                for lid in lids_v.tolist():
+                    drift[leaves[lid]] = None
             for i in np.flatnonzero(grew).tolist():
                 ebhs[int(lids_v[i])].conflict_degree = int(free_off[i])
             index._n += r
@@ -635,6 +639,8 @@ class BatchQueryPlan:
             if delta:
                 e.n_keys += delta
                 leaves[lid].update_count += delta
+                if index._drift is not None:
+                    index._drift[leaves[lid]] = None
                 landed += delta
             if cd_d[lid] != e.conflict_degree:
                 e.conflict_degree = cd_d[lid]
@@ -716,7 +722,7 @@ class BatchQueryPlan:
                             else [(self.inners[p], int(self.leaf_rank[lid]))]
                         )
                         _, split_done, rehash_done = index._insert_at_leaf(
-                            key, value, leaves[lid], path, fused_maintenance=True
+                            key, value, leaves[lid], path
                         )
                         if split_done:
                             blocked.add(lid)
@@ -750,7 +756,7 @@ class BatchQueryPlan:
                 hops += depth_l[j]
                 evals += depth_l[j]
                 leaf, path = index._descend_lower(key, slot)
-                index._insert_at_leaf(key, value, leaf, path, fused_maintenance=True)
+                index._insert_at_leaf(key, value, leaf, path)
         finally:
             counters.node_hops += hops
             counters.model_evals += evals
@@ -824,6 +830,10 @@ class BatchQueryPlan:
                     ):
                         ebhs[lid].n_keys -= rem
                         leaves[lid].update_count += rem
+                    drift = index._drift
+                    if drift is not None:
+                        for lid in hit_lids.tolist():
+                            drift[leaves[lid]] = None
                     removed = int(found.sum())
                     index._n -= removed
                     index.updates_since_build += removed

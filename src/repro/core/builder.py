@@ -104,8 +104,7 @@ def make_leaf(
     ebh = ErrorBoundedHash(
         fit_low, fit_high, capacity, alpha=config.alpha, counters=counters
     )
-    for k, v in zip(keys, values):
-        ebh.insert(float(k), v)
+    ebh.place(keys, values)
     return LeafNode(ebh, route_low=low, route_high=high)
 
 

@@ -35,12 +35,6 @@ from ..baselines.interfaces import DuplicateKeyError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-#: Fused rehashes at or below this live-key count run the re-placement on
-#: plain lists instead of ndarray gathers/scatters — numpy's fixed per-call
-#: overhead dominates at load-trigger leaf sizes. Purely a wall-clock
-#: switch; both paths are counter- and layout-identical.
-_REHASH_SMALL_N = 160
-
 
 class ErrorBoundedHash:
     """One EBH leaf: hash-addressed key/value slots with bounded offset.
@@ -144,6 +138,16 @@ class ErrorBoundedHash:
         self.counters.slot_probes += probes
         if obs_metrics.ACTIVE is not None:
             obs_metrics.ACTIVE.observe("chameleon_probe_length_slots", probes)
+        return None
+
+    def peek(self, key: float) -> Any | None:
+        """:meth:`lookup` without counter traffic or metric observes."""
+        home = self._raw_home_slot(key)
+        keys = self._keys
+        for offset in range(self._window_limit() + 1):
+            for slot in self._offset_slots(home, offset):
+                if keys[slot] == key:
+                    return self._values[slot]
         return None
 
     def insert(self, key: float, value: Any) -> None:
@@ -262,60 +266,32 @@ class ErrorBoundedHash:
         return list(zip(self._keys[ordered].tolist(), self._values[ordered].tolist()))
 
     def rehash(self, new_capacity: int, low_key: float | None = None,
-               high_key: float | None = None, refit: bool = False,
-               fused: bool = False) -> None:
+               high_key: float | None = None, refit: bool = False) -> None:
         """Rebuild in place at a new capacity (and optionally new interval).
 
         No sorting is required — this is the property Fig. 14 credits for
-        Chameleon's low retraining time.
+        Chameleon's low retraining time. The live pairs are re-placed in
+        slot order by :meth:`place`, so counters, conflict degree and slot
+        layout are those of re-inserting them one by one.
 
         Args:
             new_capacity: slot count after the rebuild.
             low_key/high_key: explicit new model interval.
             refit: when True, refit the model interval to the live keys'
                 span (keeps the hash flat as inserts drift the key range).
-            fused: when True, re-place the live pairs with one vectorised
-                Eq. 2 evaluation and a lightweight occupancy simulation of
-                the scalar probe loop instead of per-pair :meth:`insert`
-                calls. Counter totals, the conflict degree, and the final
-                slot layout are bit-identical either way; the batch write
-                path uses this to keep rehash off its critical path.
         """
         if new_capacity < self.n_keys:
             raise ValueError("new capacity below live key count")
-        # Typical load-trigger rehashes move a few dozen keys; below
-        # _REHASH_SMALL_N the fused path skips every intermediate ndarray
-        # (gather, home vector, scatter) and runs the same simulation on
-        # plain lists — numpy's fixed per-call overhead dominates at that
-        # size. Both branches are bit-identical in counters and layout.
-        small = fused and self.n_keys <= _REHASH_SMALL_N
-        if small:
-            kl = self._keys.tolist()
-            vl = self._values.tolist()
-            live_keys: list[float] = []
-            live_vals: list[Any] = []
-            for i, k in enumerate(kl):
-                if k == k:
-                    live_keys.append(k)
-                    live_vals.append(vl[i])
-            n_live = len(live_keys)
-            if refit and n_live >= 2:
-                k_min = min(live_keys)
-                k_max = max(live_keys)
-                if k_max > k_min:
-                    low_key = k_min
-                    high_key = k_max + (k_max - k_min) / n_live
-        else:
-            live = self._live_slots()
-            live_key_arr = self._keys[live]
-            live_values = self._values[live]
-            n_live = int(live.size)
-            if refit and n_live >= 2:
-                k_min = float(live_key_arr.min())
-                k_max = float(live_key_arr.max())
-                if k_max > k_min:
-                    low_key = k_min
-                    high_key = k_max + (k_max - k_min) / n_live
+        live = self._live_slots()
+        live_keys = self._keys[live]
+        live_values = self._values[live]
+        n_live = int(live.size)
+        if refit and n_live >= 2:
+            k_min = float(live_keys.min())
+            k_max = float(live_keys.max())
+            if k_max > k_min:
+                low_key = k_min
+                high_key = k_max + (k_max - k_min) / n_live
         self.capacity = int(new_capacity)
         if low_key is not None:
             self.low_key = float(low_key)
@@ -333,53 +309,53 @@ class ErrorBoundedHash:
             )
         if obs_metrics.ACTIVE is not None:
             obs_metrics.ACTIVE.inc("chameleon_leaf_rehash_total")
-        if not fused:
-            for k, v in zip(live_key_arr.tolist(), live_values.tolist()):
-                self.insert(k, v)
+        self.place(live_keys, live_values)
+
+    def place(self, keys: np.ndarray, values: Sequence[Any]) -> None:
+        """Place distinct keys into this empty table, in the given order.
+
+        Equivalent to :meth:`insert` per key — same slot for every key,
+        same conflict degree, same ``model_evals`` and ``slot_probes`` —
+        but with one vectorised Eq. 2 pass for the home slots and an
+        occupancy simulation of the outward scan. On an empty table a
+        probed slot is either free or holds a different key, so the scan
+        reduces to "first free slot in candidate order", and the probes
+        the scalar scan spends past it up to ``cd`` have the closed form
+        ``2 * (cd - f)`` (one less when the single-slot ``c / 2`` rung
+        falls in that tail). Callers guarantee distinct keys (bulk-load
+        input, or one leaf's live keys) that fit the capacity.
+        """
+        keys = np.asarray(keys, dtype=np.float64)
+        n = int(keys.size)
+        if n == 0:
             return
-        if n_live == 0:
-            return
-        # Fused re-placement: one Eq. 2 pass for the home slots, then a
-        # pure-Python occupancy simulation of the scalar outward scan (the
-        # array is freshly empty, so slot contents reduce to an
-        # occupied/free bit) — same probe totals, same cd evolution, same
-        # final slot per key.
+        if self.n_keys:
+            raise ValueError("place() needs an empty table")
+        if n > self.capacity:
+            raise OverflowError("EBH node is full; expand before inserting")
         cap = self.capacity
+        half = cap // 2
         occupied = bytearray(cap)
+        slots = [0] * n
         cd = 0
         total_probes = 0
-        if small:
-            span = self.high_key - self.low_key
-            alpha = self.alpha
-            low = self.low_key
-            keys_arr = self._keys
-            vals_arr = self._values
-            half = cap // 2
-            for i in range(n_live):
-                k = live_keys[i]
-                if span <= 0.0:
-                    home = 0
-                else:
-                    home = int(math.floor(alpha * (cap * (k - low) / span))) % cap
-                # The table is freshly empty, so the scalar scan reduces to
-                # "first free slot in candidate order"; once it is found the
-                # remaining offsets up to cd only add probes, which have the
-                # closed form 2*(cd - f) (minus one when offset cap/2, a
-                # single-candidate rung, falls inside the tail).
-                probes = 0
-                free_slot = -1
-                free_offset = 0
-                for offset in range(half + 1):
+        for i, home in enumerate(self._raw_home_slots(keys).tolist()):
+            probes = 1
+            free_slot = home
+            free_offset = 0
+            if occupied[home]:
+                for offset in range(1, half + 1):
                     plus = home + offset
                     if plus >= cap:
                         plus -= cap
                     probes += 1
+                    single = offset + offset == cap
                     if not occupied[plus]:
                         free_slot, free_offset = plus, offset
-                        if offset and offset + offset != cap:
+                        if not single:
                             probes += 1
                         break
-                    if offset and offset + offset != cap:
+                    if not single:
                         minus = home - offset
                         if minus < 0:
                             minus += cap
@@ -387,62 +363,22 @@ class ErrorBoundedHash:
                         if not occupied[minus]:
                             free_slot, free_offset = minus, offset
                             break
-                if free_offset < cd:
-                    probes += 2 * (cd - free_offset)
-                    if cd + cd == cap:
-                        probes -= 1
-                total_probes += probes
-                occupied[free_slot] = 1
-                keys_arr[free_slot] = k
-                vals_arr[free_slot] = live_vals[i]
-                if free_offset > cd:
-                    cd = free_offset
-            self.n_keys = n_live
-            self.conflict_degree = cd
-            self.counters.model_evals += n_live
-            self.counters.slot_probes += total_probes
-            return
-        homes = self._raw_home_slots(live_key_arr)
-        slots_out = np.empty(n_live, dtype=np.int64)
-        half = cap // 2
-        for i, home in enumerate(homes.tolist()):
-            # Same first-free scan + closed-form tail probes as the small
-            # branch above — the empty-table simplification is identical.
-            probes = 0
-            free_slot = -1
-            free_offset = 0
-            for offset in range(half + 1):
-                plus = home + offset
-                if plus >= cap:
-                    plus -= cap
-                probes += 1
-                if not occupied[plus]:
-                    free_slot, free_offset = plus, offset
-                    if offset and offset + offset != cap:
-                        probes += 1
-                    break
-                if offset and offset + offset != cap:
-                    minus = home - offset
-                    if minus < 0:
-                        minus += cap
-                    probes += 1
-                    if not occupied[minus]:
-                        free_slot, free_offset = minus, offset
-                        break
             if free_offset < cd:
                 probes += 2 * (cd - free_offset)
                 if cd + cd == cap:
                     probes -= 1
+            elif free_offset > cd:
+                cd = free_offset
             total_probes += probes
             occupied[free_slot] = 1
-            slots_out[i] = free_slot
-            if free_offset > cd:
-                cd = free_offset
-        self._keys[slots_out] = live_key_arr
-        self._values[slots_out] = live_values
-        self.n_keys = n_live
+            slots[i] = free_slot
+        self._keys[slots] = keys
+        vals = self._values
+        for slot, value in zip(slots, values):
+            vals[slot] = value
+        self.n_keys = n
         self.conflict_degree = cd
-        self.counters.model_evals += n_live
+        self.counters.model_evals += n
         self.counters.slot_probes += total_probes
 
     # -- statistics -------------------------------------------------------------

@@ -96,6 +96,10 @@ class ChameleonIndex(BaseIndex):
         #: the plan re-reads their state before its next op. Every write
         #: path below that touches a leaf's EBH records the leaf here.
         self._written_leaves: set[LeafNode] = set()
+        #: Leaves written since the retrainer last drained them (insertion-
+        #: ordered, values unused); None until :meth:`track_drift` attaches
+        #: a retrainer, so untracked write paths pay one ``is None`` check.
+        self._drift: dict[LeafNode, None] | None = None
         #: Updates since the last full (re)construction — drives the
         #: DARE-triggered rebuild described in Section V's Limitations.
         self.updates_since_build = 0
@@ -184,7 +188,6 @@ class ChameleonIndex(BaseIndex):
         value: Value,
         leaf: LeafNode,
         path: list[tuple[InnerNode, int]],
-        fused_maintenance: bool = False,
     ) -> tuple[LeafNode, bool, bool]:
         """Post-descent half of the scalar insert (shared with batch paths).
 
@@ -192,10 +195,8 @@ class ChameleonIndex(BaseIndex):
         descent has already been counted. ``path`` only needs the final
         ``(parent, rank)`` slot (what :meth:`_split_leaf` consumes); a
         successful split re-descends from the root exactly as the scalar
-        stream does. ``fused_maintenance`` routes a triggered rehash through
-        the counter-identical fused re-placement so batch callers keep it
-        off their critical path. Returns ``(landed_leaf, split, rehashed)``
-        so batch executors can invalidate their plan state.
+        stream does. Returns ``(landed_leaf, split, rehashed)`` so batch
+        executors can invalidate their plan state.
         """
         if self._batch_plan is not None:
             self._written_leaves.add(leaf)
@@ -219,14 +220,12 @@ class ChameleonIndex(BaseIndex):
                 if faults.ACTIVE is not None:
                     faults.ACTIVE.fire("ebh.expand", self.counters)
                 grown = max(ebh.n_keys + 1, int(ebh.n_keys * LEAF_GROWTH) + 1)
-                ebh.rehash(
-                    self.config.theorem1_capacity(grown),
-                    refit=True,
-                    fused=fused_maintenance,
-                )
+                ebh.rehash(self.config.theorem1_capacity(grown), refit=True)
                 rehash_done = True
         ebh.insert(key, value)
         leaf.update_count += 1
+        if self._drift is not None:
+            self._drift[leaf] = None
         self._n += 1
         self.updates_since_build += 1
         return leaf, split_done, rehash_done
@@ -260,6 +259,8 @@ class ChameleonIndex(BaseIndex):
         removed = leaf.ebh.delete(key)
         if removed:
             leaf.update_count += 1
+            if self._drift is not None:
+                self._drift[leaf] = None
             self._n -= 1
             self.updates_since_build += 1
             if self._batch_plan is not None:
@@ -555,11 +556,77 @@ class ChameleonIndex(BaseIndex):
                     stack.append((child, child_ids, depth + 1))
         return entries
 
+    def track_drift(self) -> None:
+        """Record every written leaf for the retrainer from now on.
+
+        Seeds the pending set with one full scan — every leaf whose update
+        counter is non-zero — so writes made before the retrainer attached
+        are not missed. Afterwards each write site adds its leaf *after*
+        bumping the leaf's counter, and :meth:`pop_drifted` drains the set.
+        """
+        drift = {} if self._drift is None else self._drift
+        if self._root is not None:
+            for leaf in walk_leaves(self._root):
+                if leaf.update_count:
+                    drift[leaf] = None
+        self._drift = drift
+
+    def pop_drifted(
+        self,
+    ) -> list[tuple[tuple[int, ...], InnerNode, int, list[LeafNode]]]:
+        """Drain the pending set into h-th-level entries.
+
+        Returns ``(ids, parent, rank, leaves)`` per entry holding at least
+        one marked leaf, most recently marked first — the order is fixed by
+        the write history, so a replayed program sweeps identically.
+        ``leaves`` are the marks that resolved to it, for
+        :meth:`mark_drifted` to put back when the entry is not retrained.
+        Each mark is popped atomically, at most as many as the set held on
+        entry, so a concurrent writer's later mark stays for the next drain
+        — and since writers mark after bumping the counter, a popped mark's
+        count is visible to the caller's subsequent read. Marks resolve
+        with the counter-free :meth:`_upper_walk` at the midpoint of the
+        leaf's routing interval; a leaf that was since split or swapped
+        away resolves to whatever entry now covers its interval.
+        """
+        drift = self._drift
+        if drift is None:
+            return []
+        marks: list[LeafNode] = []
+        for _ in range(len(drift)):
+            try:
+                leaf, _ = drift.popitem()
+            except KeyError:
+                break
+            marks.append(leaf)
+        entries: dict[tuple[int, ...], tuple[InnerNode, int, list[LeafNode]]] = {}
+        for leaf in marks:
+            low, high = leaf.route_low, leaf.route_high
+            ids, path = self._upper_walk(low + (high - low) / 2 if high > low else low)
+            if not path:
+                continue  # a root leaf has no h-th-level entry to retrain
+            entry = entries.get(ids)
+            if entry is None:
+                parent, rank = path[-1]
+                entries[ids] = (parent, rank, [leaf])
+            else:
+                entry[2].append(leaf)
+        return [(ids, parent, rank, leaves) for ids, (parent, rank, leaves) in entries.items()]
+
+    def mark_drifted(self, leaves: Iterable[LeafNode]) -> None:
+        """Put drained marks back (an entry skipped, failed, or unreached)."""
+        drift = self._drift
+        if drift is not None:
+            for leaf in leaves:
+                drift[leaf] = None
+
     def subtree_update_count(self, parent: InnerNode, rank: int) -> int:
         """Total leaf update counters beneath one h-th-level slot."""
         child = parent.children[rank]
         if child is None:
             return 0
+        if isinstance(child, LeafNode):
+            return child.update_count
         return sum(leaf.update_count for leaf in walk_leaves(child))
 
     def rebuild_subtree(
@@ -723,6 +790,43 @@ class ChameleonIndex(BaseIndex):
         return node
 
     @declared_contract("counter_neutral")
+    def peek(self, key: Key) -> Value | None:
+        """:meth:`lookup` without counters, SLO samples, metrics or spans.
+
+        Under a lock manager the walk below the lock boundary holds the
+        interval's query lock (uncounted), so a concurrent writer's rehash
+        is never read half-done.
+        """
+        key_f = float(key)
+        if self.lock_manager is None:
+            return self._peek_leaf(key_f)
+        ids, _ = self._upper_walk(key_f)
+        with self.lock_manager.query_lock(ids):
+            return self._peek_leaf(key_f)
+
+    @declared_contract("counter_neutral")
+    def peek_batch(self, keys: "Sequence[Key]") -> list[Value | None]:
+        """:meth:`peek` per key, one query lock per touched interval."""
+        keys_l = [float(k) for k in keys]
+        lm = self.lock_manager
+        if lm is None:
+            return [self._peek_leaf(k) for k in keys_l]
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, k in enumerate(keys_l):
+            groups.setdefault(self._upper_walk(k)[0], []).append(i)
+        out: list[Value | None] = [None] * len(keys_l)
+        for ids, idx in groups.items():
+            with lm.query_lock(ids):
+                for i in idx:
+                    out[i] = self._peek_leaf(keys_l[i])
+        return out
+
+    @declared_contract("counter_neutral")
+    def _peek_leaf(self, key: float) -> Value | None:
+        leaf = self._locate_leaf(key)
+        return None if leaf is None else leaf.ebh.peek(key)
+
+    @declared_contract("counter_neutral")
     def _stores(self, key: float) -> bool:
         """Whether ``key`` is stored, without counter traffic or locks.
 
@@ -741,6 +845,7 @@ class ChameleonIndex(BaseIndex):
         state["lock_manager"] = None
         state["_batch_plan"] = None  # cache; duplicates the tree's arrays
         state["_written_leaves"] = set()
+        state["_drift"] = None  # tracking belongs to an attached retrainer
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -748,6 +853,7 @@ class ChameleonIndex(BaseIndex):
         # start value is sound because the plan cache is never pickled.
         state.setdefault("_topology_epoch", 0)
         state.setdefault("_written_leaves", set())
+        state.setdefault("_drift", None)
         self.__dict__.update(state)
 
     def rebuild_all(self) -> int:

@@ -1,10 +1,19 @@
 """Background non-blocking retraining (Section V).
 
-A daemon thread wakes every ``retrain_period_s`` (paper: 10 s), scans the
-h-th-level intervals for drift (accumulated update counters), and rebuilds
-drifted subtrees with TSMDP under the interval's Retraining-Lock. Queries on
-other intervals never block; queries on the interval being swapped wait only
-for the swap itself.
+A daemon thread wakes every ``retrain_period_s`` (paper: 10 s) and rebuilds
+drifted h-th-level subtrees with TSMDP under the interval's Retraining-Lock.
+Queries on other intervals never block; queries on the interval being
+swapped wait only for the swap itself.
+
+Drift detection follows the writes, not the index size. Attaching a
+retrainer makes the index record every written leaf in one pending set
+(seeded by one full scan); each sweep drains that set, resolves the marks
+to their h-th-level intervals, and sums the leaf update counters only
+there. An interval at or above the threshold is rebuilt and its counters
+reset. One skipped on a lock timeout, one whose rebuild failed, and any not
+reached before :meth:`RetrainingThread.stop` keep their marks for the next
+sweep; one below the threshold drops them, since only a later write — which
+marks it again — can push it over.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from ..obs import trace as obs_trace
 from ..robustness import faults
 from .index import ChameleonIndex
 from .interval_lock import IntervalLockManager
-from .node import InnerNode, walk_leaves
+from .node import InnerNode, LeafNode, walk_leaves
 
 
 @dataclass
@@ -95,6 +104,7 @@ class RetrainingThread(threading.Thread):
         self.full_rebuild_fraction = full_rebuild_fraction
         self.stats = RetrainerStats()
         self._stop_event = threading.Event()
+        index.track_drift()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -123,17 +133,20 @@ class RetrainingThread(threading.Thread):
     # -- one sweep --------------------------------------------------------------
 
     def sweep_once(self) -> int:
-        """Scan all intervals once; rebuild the drifted ones.
+        """Drain the index's drift set once; rebuild the drifted intervals.
 
         Returns the number of intervals rebuilt. Usable synchronously in
-        tests and benches without starting the thread.
+        tests and benches without starting the thread. Only intervals
+        holding a leaf written since they were last checked are summed at
+        all, most recently written first.
 
         A rebuild that raises is *contained*: the failure is recorded in
-        ``stats.failed_retrains`` (and the shared counters) and the
-        subtree's update counters stay intact, so the next sweep simply
-        retries — one poisoned interval cannot kill the daemon or starve
-        the healthy ones. Failures outside the per-interval scope (e.g. an
-        injected ``retrainer.sweep`` fault) still propagate; the
+        ``stats.failed_retrains`` (and the shared counters), the subtree's
+        update counters stay intact and its marks go back into the set, so
+        the next sweep simply retries — one poisoned interval cannot kill
+        the daemon or starve the healthy ones. Failures outside the
+        per-interval scope (e.g. an injected ``retrainer.sweep`` fault)
+        still propagate; the
         :class:`~repro.robustness.supervisor.SupervisedRetrainer` is the
         layer that handles those.
         """
@@ -168,39 +181,57 @@ class RetrainingThread(threading.Thread):
                 self._observe_rebuild("retrainer.full_rebuild", None, keys, units0)
                 sweep_span.put("rebuilt", 1)
                 return 1
-            for ids, parent, rank in self.index.h_level_entries():
-                if self._stop_event.is_set():
-                    break
-                if self.index.subtree_update_count(parent, rank) < self.update_threshold:
-                    continue
-                units0 = (
-                    self.index.counters.total_update_work()
-                    if obs_metrics.ACTIVE is not None or obs_trace.ACTIVE is not None
-                    else 0
-                )
-                try:
-                    with self.lock_manager.retrain_lock(
-                        ids, self.index.counters, timeout=self.lock_timeout_s
-                    ) as acquired:
-                        if not acquired:
-                            with self.stats._lock:
-                                self.stats.skipped_busy += 1
-                            continue
-                        started = time.perf_counter()
-                        keys = self.index.rebuild_subtree(parent, rank, ids=ids)
-                        elapsed = time.perf_counter() - started
-                        self._reset_update_counts(parent, rank)
-                except Exception:
-                    self._record_failure()
-                    continue
-                with self.stats._lock:
-                    self.stats.retrained_intervals += 1
-                    self.stats.retrained_keys += keys
-                    self.stats.total_retrain_seconds += elapsed
-                self._observe_rebuild("retrainer.rebuild", ids, keys, units0)
-                rebuilt += 1
+            # An entry counts as settled once checked; the marks of every
+            # unsettled one — left when the loop stops, or when an exception
+            # escapes it — go back into the set below.
+            entries = self.index.pop_drifted()
+            settled = 0
+            carry: list[LeafNode] = []
+            try:
+                for ids, parent, rank, marks in entries:
+                    if self._stop_event.is_set():
+                        break
+                    if self.index.subtree_update_count(parent, rank) >= self.update_threshold:
+                        if self._retrain(ids, parent, rank):
+                            rebuilt += 1
+                        else:
+                            carry.extend(marks)
+                    settled += 1
+            finally:
+                for _, _, _, marks in entries[settled:]:
+                    carry.extend(marks)
+                self.index.mark_drifted(carry)
             sweep_span.put("rebuilt", rebuilt)
             return rebuilt
+
+    def _retrain(self, ids: tuple[int, ...], parent: InnerNode, rank: int) -> bool:
+        """Rebuild one drifted interval; False when skipped or failed."""
+        units0 = (
+            self.index.counters.total_update_work()
+            if obs_metrics.ACTIVE is not None or obs_trace.ACTIVE is not None
+            else 0
+        )
+        try:
+            with self.lock_manager.retrain_lock(
+                ids, self.index.counters, timeout=self.lock_timeout_s
+            ) as acquired:
+                if not acquired:
+                    with self.stats._lock:
+                        self.stats.skipped_busy += 1
+                    return False
+                started = time.perf_counter()
+                keys = self.index.rebuild_subtree(parent, rank, ids=ids)
+                elapsed = time.perf_counter() - started
+                self._reset_update_counts(parent, rank)
+        except Exception:
+            self._record_failure()
+            return False
+        with self.stats._lock:
+            self.stats.retrained_intervals += 1
+            self.stats.retrained_keys += keys
+            self.stats.total_retrain_seconds += elapsed
+        self._observe_rebuild("retrainer.rebuild", ids, keys, units0)
+        return True
 
     def _observe_rebuild(
         self, name: str, ids: tuple[int, ...] | None, keys: int, units0: int

@@ -24,10 +24,11 @@ matrix verifies.)
 
 Counter-neutrality: durability must not perturb the paper's cost model.
 The wrapper's only index touches beyond the caller's own operation are
-the delete pre-lookup (to capture the value needed for rollback), which
-runs under a counter snapshot/restore exactly like ``verify_integrity``
-— WAL-on and WAL-off runs produce bit-identical structural
-:class:`~repro.baselines.counters.Counters`, pinned by tests.
+the peeks (:meth:`~repro.baselines.interfaces.BaseIndex.peek`) that
+capture rollback values and certify batches; they charge no counters and
+feed no SLO window or metric — WAL-on and WAL-off runs produce
+bit-identical structural :class:`~repro.baselines.counters.Counters` and
+the same read telemetry, pinned by tests.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class DurableIndex:
 
     def delete(self, key: Key) -> bool:
         """Delete; returns presence. Logged only when it mutated."""
-        old_value = self._peek(float(key))
+        old_value = self.index.peek(float(key))
         present = self.index.delete(key)
         if not present:
             return False
@@ -214,7 +215,7 @@ class DurableIndex:
             return
         value_list = None if values is None else list(values)
         certified = len(set(key_list)) == len(key_list) and not any(
-            v is not None for v in self._peek_batch(key_list)
+            v is not None for v in self.index.peek_batch(key_list)
         )
         if not certified:
             if value_list is None:
@@ -255,13 +256,13 @@ class DurableIndex:
         key_list = [float(k) for k in keys]
         if not key_list:
             return []
-        old_values = self._peek_batch(key_list)
+        old_values = self.index.peek_batch(key_list)
         try:
             out = self.index.delete_batch(key_list)
         except BaseException:
             with _rollback_guard():
                 for k, v in zip(key_list, old_values):
-                    if v is not None and self._peek(k) is None:
+                    if v is not None and self.index.peek(k) is None:
                         self.index.insert(k, v)
             raise
         removed = [k for k, present in zip(key_list, out) if present]
@@ -277,24 +278,6 @@ class DurableIndex:
             raise
         self._after_logged_record()
         return out
-
-    @declared_contract("counter_neutral")
-    def _peek(self, key: float) -> Value | None:
-        """Counter-neutral lookup (rollback needs the old value)."""
-        before = self.index.counters.snapshot()
-        try:
-            return self.index.lookup(key)
-        finally:
-            self.index.counters.restore(before)
-
-    @declared_contract("counter_neutral")
-    def _peek_batch(self, keys: "Sequence[float]") -> list[Value | None]:
-        """Counter-neutral batch lookup (certification + rollback values)."""
-        before = self.index.counters.snapshot()
-        try:
-            return self.index.lookup_batch(keys)
-        finally:
-            self.index.counters.restore(before)
 
     def _after_logged_record(self) -> None:
         if self.checkpoint_every_records is None:

@@ -2,7 +2,9 @@
 
 One parametrized battery drives each index through bulk load, point
 lookups, misses, random insert/delete programs, and range queries, checking
-every answer against :class:`SortedArrayIndex`.
+every answer against :class:`SortedArrayIndex`. Programs draw their keys
+from a small universe, so delete -> re-insert -> delete of one key is
+common, and compare ``items()`` and ``len()`` once each program ends.
 """
 
 import numpy as np
@@ -58,33 +60,35 @@ class TestBulkLoadLookup:
 @pytest.mark.parametrize("index_name", UPDATABLE)
 class TestRandomPrograms:
     def test_random_op_program_matches_oracle(self, index_name):
-        keys = osmc_like(2500, seed=9)
+        universe = [float(k) for k in osmc_like(2500, seed=9)]
         rng = np.random.default_rng(17)
-        perm = rng.permutation(keys)
-        loaded = np.sort(perm[:1500])
-        pool = [float(k) for k in perm[1500:]]
+        loaded = np.sort(rng.choice(universe, 1500, replace=False))
         index = INDEX_REGISTRY[index_name]()
         oracle = SortedArrayIndex()
         index.bulk_load(loaded)
         oracle.bulk_load(loaded)
-        live = [float(k) for k in loaded]
+        # Ops pick keys from a 300-key slice of the universe, so the same
+        # key is deleted, re-inserted and deleted again many times over.
+        hot = universe[:: len(universe) // 300]
         for _ in range(1500):
             op = rng.integers(0, 4)
-            if op == 0 and pool:
-                k = pool.pop()
-                index.insert(k)
-                oracle.insert(k)
-                live.append(k)
-            elif op == 1 and live:
-                k = live.pop(int(rng.integers(0, len(live))))
+            k = hot[int(rng.integers(0, len(hot)))]
+            if op == 0:
+                if oracle.lookup(k) is None:
+                    index.insert(k)
+                    oracle.insert(k)
+                else:
+                    with pytest.raises(DuplicateKeyError):
+                        index.insert(k)
+            elif op == 1:
                 assert index.delete(k) == oracle.delete(k), index_name
-            elif op == 2 and live:
-                k = live[int(rng.integers(0, len(live)))]
+            elif op == 2:
                 assert index.lookup(k) == oracle.lookup(k), index_name
             else:
                 probe = float(rng.uniform(loaded[0], loaded[-1]))
                 assert index.lookup(probe) == oracle.lookup(probe), index_name
         assert len(index) == len(oracle)
+        assert sorted(index.items()) == sorted(oracle.items()), index_name
 
     def test_duplicate_insert_rejected(self, index_name):
         keys = uden(200, seed=1)
@@ -146,18 +150,18 @@ class TestRandomPrograms:
             assert index.lookup(float(k)) == k, index_name
 
 
+#: Key universe of the property programs: small, so that a program often
+#: deletes a loaded key, re-inserts it and deletes it again.
+UNIVERSE = [float(k) for k in np.linspace(0.0, 1e9, 24)]
+
+
 @pytest.mark.parametrize("index_name", UPDATABLE)
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
 def test_property_small_programs(index_name, data):
     """Hypothesis: short random programs keep index == dict semantics."""
     base = data.draw(
-        st.lists(
-            st.floats(min_value=0, max_value=1e9, allow_nan=False),
-            min_size=4,
-            max_size=30,
-            unique=True,
-        )
+        st.lists(st.sampled_from(UNIVERSE), min_size=4, max_size=20, unique=True)
     )
     base = sorted(base)
     index = INDEX_REGISTRY[index_name]()
@@ -167,9 +171,9 @@ def test_property_small_programs(index_name, data):
         st.lists(
             st.tuples(
                 st.sampled_from(["insert", "delete", "lookup"]),
-                st.floats(min_value=0, max_value=1e9, allow_nan=False),
+                st.sampled_from(UNIVERSE),
             ),
-            max_size=30,
+            max_size=40,
         )
     )
     for op, key in ops:
@@ -186,3 +190,25 @@ def test_property_small_programs(index_name, data):
         else:
             assert index.lookup(key) == reference.get(key)
     assert len(index) == len(reference)
+    assert sorted(index.items()) == sorted(reference.items())
+
+
+def test_pgm_delete_reinsert_delete_leaves_no_copy():
+    """A key re-inserted over its main-array tombstone is stored once.
+
+    The buffer copy used to sit next to an un-tombstoned main-array copy,
+    so the second delete removed only the buffer copy and the key came
+    back.
+    """
+    keys = face_like(20_000, seed=7)
+    index = INDEX_REGISTRY["PGM"]()
+    index.bulk_load(keys)
+    victims = [float(k) for k in np.random.default_rng(3).choice(keys, 512, replace=False)]
+    for k in victims:
+        assert index.delete(k)
+    for k in victims:
+        index.insert(k)
+    for k in victims:
+        assert index.delete(k)
+    assert all(index.lookup(k) is None for k in victims)
+    assert len(index) == 20_000 - 512 == sum(1 for _ in index.items())

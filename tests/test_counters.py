@@ -22,6 +22,20 @@ class TestCounters:
         c.comparisons = 10
         assert snap["comparisons"] == 0
 
+    def test_restore_zeroes_names_missing_from_the_snapshot(self):
+        c = Counters(node_hops=7, splits=2, watchdog_restarts=3)
+        c.restore({"node_hops": 1})  # e.g. a snapshot older than the field
+        assert c.node_hops == 1
+        assert c.splits == 0
+        assert c.watchdog_restarts == 0
+        assert all(v == 0 for k, v in c.snapshot().items() if k != "node_hops")
+
+    def test_field_names_cover_every_counter_in_order(self):
+        from dataclasses import fields
+
+        assert Counters.FIELD_NAMES == tuple(f.name for f in fields(Counters))
+        assert list(Counters().snapshot()) == list(Counters.FIELD_NAMES)
+
     def test_diff(self):
         c = Counters()
         snap = c.snapshot()

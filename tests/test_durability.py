@@ -251,6 +251,44 @@ def test_wal_neutrality_counters_bit_identical(tmp_path):
     assert wrapped.counters == plain.counters
 
 
+@pytest.mark.parametrize("locked", [False, True])
+def test_durable_peeks_feed_no_read_telemetry(tmp_path, locked):
+    """Rollback and certification peeks are not reads.
+
+    With SLO and metrics armed, durable ``delete``, ``insert_batch`` and
+    ``delete_batch`` leave the ``lookup`` SLO window and the lookup
+    histograms (descent depth, probe length) exactly where they were.
+    """
+    from repro import obs
+    from repro.core import IntervalLockManager
+
+    keys = [float(k) for k in face_like(3000, seed=5)]
+    loaded, pool = keys[:2000], keys[2000:]
+    index = ChameleonIndex(lock_manager=IntervalLockManager() if locked else None)
+    durable = DurableIndex(index, tmp_path / "dur", fsync="none")
+    durable.bulk_load(loaded)
+    tracker = obs.arm_slo()
+    registry = obs.arm_metrics()
+    lookup_hists = ("chameleon_descent_depth_levels", "chameleon_probe_length_slots")
+    try:
+        durable.lookup(loaded[0])  # the sinks do see real reads
+        seen = tracker.window_count("lookup")
+        hist = [registry.histogram(name).n_observed for name in lookup_hists]
+        assert seen == 1 and all(hist)
+        for k in loaded[:40]:
+            assert durable.delete(k)
+        durable.insert_batch(pool[:64])
+        assert durable.delete_batch(loaded[40:104]) == [True] * 64
+        assert tracker.window_count("lookup") == seen
+        assert [registry.histogram(name).n_observed for name in lookup_hists] == hist
+    finally:
+        obs.disarm_slo()
+        obs.disarm_metrics()
+        durable.close()
+    assert durable.index.peek(loaded[0]) is None
+    assert durable.index.peek(pool[0]) == pool[0]
+
+
 def test_short_write_fault_rolls_back_and_log_stays_clean(tmp_path):
     durable, states = _durable_workload(tmp_path, n_ops=5)
     lsn_before = durable.last_lsn
