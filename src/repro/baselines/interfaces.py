@@ -24,6 +24,9 @@ from .counters import Counters
 Key = float
 Value = Any
 
+#: A ``pop`` default that tells an absent key apart from a stored ``None``.
+ABSENT: Any = object()
+
 #: On-disk snapshot header: magic + little-endian u16 format version. The
 #: magic rejects arbitrary pickles (and pre-header snapshots) up front; the
 #: version lets a future layout change fail loudly instead of unpickling
@@ -132,6 +135,16 @@ class BaseIndex(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} is read-only")
 
+    def pop(self, key: Key, default: Value = None) -> Value:
+        """Delete ``key`` and return its value, or ``default`` if absent.
+
+        Charges exactly what :meth:`delete` charges. The default is a
+        counter-neutral :meth:`peek` followed by :meth:`delete`; an index
+        that can read the value on its delete walk overrides this.
+        """
+        value = self.peek(key)
+        return value if self.delete(key) else default
+
     # -- batch API ----------------------------------------------------------
 
     def lookup_batch(self, keys: "Sequence[Key] | np.ndarray") -> list[Value | None]:
@@ -176,11 +189,12 @@ class BaseIndex(abc.ABC):
     def peek(self, key: Key) -> Value | None:
         """:meth:`lookup` outside the cost model and the telemetry.
 
-        For wrappers that must read a value without it counting as a
-        read — the durable delete's rollback value, for instance. The
-        default brackets :meth:`lookup` with a counter snapshot/restore;
-        an index that feeds armed telemetry sinks from its lookup
-        overrides this with a raw walk that feeds none.
+        For callers that must read a value without it counting as a
+        read — the :meth:`pop` default, or the durable batch delete's
+        rollback values. The default brackets :meth:`lookup` with a
+        counter snapshot/restore; an index that feeds armed telemetry
+        sinks from its lookup overrides this with a raw walk that feeds
+        none.
         """
         before = self.counters.snapshot()
         try:

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from ..analysis.contracts import declared_contract
-from ..baselines.interfaces import DuplicateKeyError
+from ..baselines.interfaces import ABSENT, DuplicateKeyError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .node import InnerNode, LeafNode, Node
@@ -796,7 +796,8 @@ class BatchQueryPlan:
                 det = self.leaf_detached[lids]
                 if det.any():
                     for i, lid in zip(sel[det].tolist(), lids[det].tolist()):
-                        out[i] = index._delete_at_leaf(self.leaves[lid], float(karr[i]))
+                        k = float(karr[i])
+                        out[i] = index._delete_at_leaf(self.leaves[lid], k) is not ABSENT
                     keep = ~det
                     sel = sel[keep]
                     lids = lids[keep]
@@ -840,7 +841,7 @@ class BatchQueryPlan:
             for i in np.flatnonzero(cur == _HOLE).tolist():
                 k = float(karr[i])
                 leaf, _ = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
-                out[i] = index._delete_at_leaf(leaf, k)
+                out[i] = index._delete_at_leaf(leaf, k) is not ABSENT
             return out.tolist()
 
 

@@ -31,7 +31,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..baselines.counters import Counters
-from ..baselines.interfaces import DuplicateKeyError
+from ..baselines.interfaces import ABSENT, DuplicateKeyError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
@@ -190,8 +190,8 @@ class ErrorBoundedHash:
         if free_offset > self.conflict_degree:
             self.conflict_degree = free_offset
 
-    def delete(self, key: float) -> bool:
-        """Clear ``key``'s slot; return True if the key was present."""
+    def pop(self, key: float, default: Any = None) -> Any:
+        """Clear ``key``'s slot and return its value (``default`` if absent)."""
         home = self.home_slot(key)
         keys = self._keys
         probes = 0
@@ -199,13 +199,18 @@ class ErrorBoundedHash:
             for slot in self._offset_slots(home, offset):
                 probes += 1
                 if keys[slot] == key:
+                    value = self._values[slot]
                     keys[slot] = np.nan
                     self._values[slot] = None
                     self.n_keys -= 1
                     self.counters.slot_probes += probes
-                    return True
+                    return value
         self.counters.slot_probes += probes
-        return False
+        return default
+
+    def delete(self, key: float) -> bool:
+        """Clear ``key``'s slot; return True if the key was present."""
+        return self.pop(key, ABSENT) is not ABSENT
 
     # -- batch entry points ----------------------------------------------------
 

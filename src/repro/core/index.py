@@ -17,6 +17,7 @@ import numpy as np
 
 from ..analysis.contracts import declared_contract
 from ..baselines.interfaces import (
+    ABSENT,
     BaseIndex,
     Capabilities,
     EmptyIndexError,
@@ -168,18 +169,22 @@ class ChameleonIndex(BaseIndex):
             if self.lock_manager is None:
                 self._insert_locked(key_f, stored)
                 return
-            ids, _ = self._descend_upper(key_f)
+            ids, upper = self._descend_upper(key_f)
             with self.lock_manager.query_lock(ids, self.counters):
                 self.lock_manager.assert_interval_locked(ids, where="insert")
-                self._insert_locked(key_f, stored)
+                self._insert_locked(key_f, stored, upper)
 
-    def _insert_locked(self, key: Key, value: Value) -> None:
+    def _insert_locked(
+        self, key: Key, value: Value, upper: Sequence[tuple[InnerNode, int]] = ()
+    ) -> None:
+        """Insert below ``upper``, the already-charged upper path (the
+        lock-boundary walk of :meth:`_descend_upper`; empty: from the root)."""
         # Fault point before any mutation: an injected raise aborts the
         # insert cleanly (the key simply is not stored). SKIP is ignored
         # here — silently dropping a write would corrupt callers' oracles.
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("ebh.insert", self.counters)
-        leaf, path, _ = self._descend(key)
+        leaf, path = self._descend_lower(key, upper)
         self._insert_at_leaf(key, value, leaf, path)
 
     def _insert_at_leaf(
@@ -212,7 +217,7 @@ class ChameleonIndex(BaseIndex):
             if ebh.n_keys + 1 > self.config.leaf_split_keys:
                 if self._split_leaf(leaf, path):
                     split_done = True
-                    leaf, path, _ = self._descend(key)
+                    leaf, path = self._descend_lower(key, ())
                     ebh = leaf.ebh
             if (ebh.n_keys + 1) / ebh.capacity > self.config.max_leaf_load:
                 # Fault point before the rehash: raising here leaves the
@@ -236,28 +241,42 @@ class ChameleonIndex(BaseIndex):
         key_f = float(key)
         slo = obs_slo.ACTIVE
         t0 = time.monotonic_ns() if slo is not None else 0
-        removed = self._delete_op(key_f)
+        removed = self._delete_op(key_f) is not ABSENT
         if slo is not None:
             slo.observe("delete", time.monotonic_ns() - t0)
         return removed
 
-    def _delete_op(self, key_f: float) -> bool:
+    def pop(self, key: Key, default: Value = None) -> Value:
+        """:meth:`delete` that returns the removed value (``default`` if
+        absent): the same walk, lock, probe and counters."""
+        if self._root is None:
+            return default
+        key_f = float(key)
+        slo = obs_slo.ACTIVE
+        t0 = time.monotonic_ns() if slo is not None else 0
+        value = self._delete_op(key_f)
+        if slo is not None:
+            slo.observe("delete", time.monotonic_ns() - t0)
+        return default if value is ABSENT else value
+
+    def _delete_op(self, key_f: float) -> Value:
         with obs_trace.span("index.delete"):
             if self.lock_manager is None:
-                return self._delete_locked(key_f)
-            ids, _ = self._descend_upper(key_f)
+                return self._delete_at_leaf(self._descend_lower(key_f, ())[0], key_f)
+            ids, upper = self._descend_upper(key_f)
             with self.lock_manager.query_lock(ids, self.counters):
                 self.lock_manager.assert_interval_locked(ids, where="delete")
-                return self._delete_locked(key_f)
+                leaf, _ = self._descend_lower(key_f, upper)
+                return self._delete_at_leaf(leaf, key_f)
 
-    def _delete_locked(self, key: Key) -> bool:
-        leaf, _, _ = self._descend(key)
-        return self._delete_at_leaf(leaf, key)
+    def _delete_at_leaf(self, leaf: LeafNode, key: Key) -> Value:
+        """Post-descent half of the scalar delete (shared with the plan).
 
-    def _delete_at_leaf(self, leaf: LeafNode, key: Key) -> bool:
-        """Post-descent half of the scalar delete (shared with the plan)."""
-        removed = leaf.ebh.delete(key)
-        if removed:
+        Returns the removed value, or
+        :data:`~repro.baselines.interfaces.ABSENT`.
+        """
+        value = leaf.ebh.pop(key, ABSENT)
+        if value is not ABSENT:
             leaf.update_count += 1
             if self._drift is not None:
                 self._drift[leaf] = None
@@ -265,7 +284,7 @@ class ChameleonIndex(BaseIndex):
             self.updates_since_build += 1
             if self._batch_plan is not None:
                 self._written_leaves.add(leaf)
-        return removed
+        return value
 
     # -- batch operations --------------------------------------------------------------
 
@@ -354,7 +373,7 @@ class ChameleonIndex(BaseIndex):
                 return
 
             def insert(i: int, upper: list[tuple[InnerNode, int]]) -> None:
-                self._insert_locked(keys_l[i], keys_l[i] if vals is None else vals[i])
+                self._insert_locked(keys_l[i], keys_l[i] if vals is None else vals[i], upper)
 
             self._per_interval(keys_l, insert, "insert_batch")
 
@@ -384,11 +403,15 @@ class ChameleonIndex(BaseIndex):
                 return self._current_plan().delete(self, karr)
             keys_l: list[float] = karr.tolist()
             if self.lock_manager is None:
-                return [self._delete_locked(k) for k in keys_l]
+                return [
+                    self._delete_at_leaf(self._descend_lower(k, ())[0], k) is not ABSENT
+                    for k in keys_l
+                ]
             out = [False] * m
 
             def delete(i: int, upper: list[tuple[InnerNode, int]]) -> None:
-                out[i] = self._delete_locked(keys_l[i])
+                k = keys_l[i]
+                out[i] = self._delete_at_leaf(self._descend_lower(k, upper)[0], k) is not ABSENT
 
             self._per_interval(keys_l, delete, "delete_batch")
             return out
@@ -954,12 +977,14 @@ class ChameleonIndex(BaseIndex):
         return tuple(ranks), path
 
     def _descend_lower(
-        self, key: Key, upper_path: list[tuple[InnerNode, int]]
+        self, key: Key, upper_path: Sequence[tuple[InnerNode, int]]
     ) -> tuple[LeafNode, list[tuple[InnerNode, int]]]:
         """Continue from the lock boundary to the leaf (under the lock).
 
         Re-reads the boundary child pointer, because the retrainer may have
         swapped the subtree between the upper walk and lock acquisition.
+        An empty ``upper_path`` walks (and charges) the whole path from the
+        root, as every write without a lock manager does.
         """
         path = list(upper_path)
         if path:

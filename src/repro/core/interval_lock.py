@@ -148,13 +148,19 @@ class RaceDetector:
 
 
 class _IntervalState:
-    """Reader/writer state for one interval."""
+    """Reader/writer state for one interval.
 
-    __slots__ = ("readers", "retraining", "condition")
+    ``waiters`` counts the threads inside a wait loop on ``condition``
+    (queries behind a retrain, retrains behind readers), so a query
+    release notifies only when someone is there to wake.
+    """
+
+    __slots__ = ("readers", "retraining", "waiters", "condition")
 
     def __init__(self, mutex: threading.Lock) -> None:
         self.readers = 0
         self.retraining = False
+        self.waiters = 0
         self.condition = threading.Condition(mutex)
 
 
@@ -209,10 +215,14 @@ class IntervalLockManager:
         t_enter = time.monotonic_ns() if armed else 0
         with self._mutex:
             state = self._state(ids)
-            waited = False
-            while state.retraining:
-                waited = True
-                state.condition.wait()
+            waited = state.retraining
+            if waited:
+                state.waiters += 1
+                try:
+                    while state.retraining:
+                        state.condition.wait()
+                finally:
+                    state.waiters -= 1
             state.readers += 1
         t_acq = time.monotonic_ns() if armed else 0
         if mreg is not None and waited:
@@ -232,7 +242,7 @@ class IntervalLockManager:
                 rec.complete("lock.query", t_acq, {"interval": str(ids), "waited": waited})
             with self._mutex:
                 state.readers -= 1
-                if state.readers == 0:
+                if state.readers == 0 and state.waiters:
                     state.condition.notify_all()
 
     @contextmanager
@@ -249,11 +259,11 @@ class IntervalLockManager:
         timeout, in which case the caller must skip the retrain.
 
         ``timeout`` is a *deadline* on total blocking, not a per-wait
-        budget: every reader release notifies the condition, so a per-wait
-        timeout would restart the clock on each wakeup and a stream of
-        short queries could block the retrainer indefinitely. The wait loop
-        therefore recomputes the remaining time against a
-        ``time.monotonic()`` deadline.
+        budget: every release of the interval's last reader notifies a
+        waiting retrainer, so a per-wait timeout would restart the clock on
+        each wakeup and a stream of short queries could block the retrainer
+        indefinitely. The wait loop therefore recomputes the remaining time
+        against a ``time.monotonic()`` deadline.
         """
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("interval_lock.retrain", counters)
@@ -267,17 +277,21 @@ class IntervalLockManager:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._mutex:
             state = self._state(ids)
-            while state.retraining or state.readers > 0:
-                waited = True
-                if deadline is None:
-                    state.condition.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0 or not state.condition.wait(timeout=remaining):
-                    break
-            else:
-                state.retraining = True
-                acquired = True
+            state.waiters += 1
+            try:
+                while state.retraining or state.readers > 0:
+                    waited = True
+                    if deadline is None:
+                        state.condition.wait()
+                        continue
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0.0 or not state.condition.wait(timeout=remaining):
+                        break
+                else:
+                    state.retraining = True
+                    acquired = True
+            finally:
+                state.waiters -= 1
         t_acq = time.monotonic_ns() if armed else 0
         if acquired:
             if mreg is not None and waited:

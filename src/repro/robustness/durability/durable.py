@@ -23,12 +23,15 @@ state, and then exactly the unlogged suffix, which is what the crash
 matrix verifies.)
 
 Counter-neutrality: durability must not perturb the paper's cost model.
-The wrapper's only index touches beyond the caller's own operation are
-the peeks (:meth:`~repro.baselines.interfaces.BaseIndex.peek`) that
-capture rollback values and certify batches; they charge no counters and
-feed no SLO window or metric — WAL-on and WAL-off runs produce
-bit-identical structural :class:`~repro.baselines.counters.Counters` and
-the same read telemetry, pinned by tests.
+A durable delete runs :meth:`~repro.baselines.interfaces.BaseIndex.pop`,
+which charges exactly what ``delete`` charges and returns the rollback
+value. The wrapper's only index touches beyond the caller's own
+operation are the batch peeks
+(:meth:`~repro.baselines.interfaces.BaseIndex.peek_batch`) that capture
+rollback values and certify batches; they charge no counters and feed no
+SLO window or metric — WAL-on and WAL-off runs produce bit-identical
+structural :class:`~repro.baselines.counters.Counters` and the same read
+telemetry, pinned by tests.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ...analysis.contracts import declared_contract
 from ...baselines.counters import Counters
-from ...baselines.interfaces import BaseIndex, Key, Value
+from ...baselines.interfaces import ABSENT, BaseIndex, Key, Value
 from .. import faults
 from .checkpoint import CheckpointManager
 from .recovery import RecoveryManager, RecoveryReport
@@ -174,10 +177,15 @@ class DurableIndex:
         self._after_logged_record()
 
     def delete(self, key: Key) -> bool:
-        """Delete; returns presence. Logged only when it mutated."""
-        old_value = self.index.peek(float(key))
-        present = self.index.delete(key)
-        if not present:
+        """Delete; returns presence. Logged only when it mutated.
+
+        One :meth:`~repro.baselines.interfaces.BaseIndex.pop` removes the
+        key and hands back its value for the rollback, so the value
+        restored is the one removed — no separate read, and no window in
+        which a concurrent writer could change it.
+        """
+        old_value = self.index.pop(key, ABSENT)
+        if old_value is ABSENT:
             return False
         try:
             log_delete(self.wal, float(key))

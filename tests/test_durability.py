@@ -289,6 +289,44 @@ def test_durable_peeks_feed_no_read_telemetry(tmp_path, locked):
     assert durable.index.peek(pool[0]) == pool[0]
 
 
+def test_durable_delete_is_one_walk_one_lock_and_a_faithful_rollback(tmp_path, monkeypatch):
+    """A durable delete pops: one query lock, and the rollback after a
+    failed append re-inserts the popped value, not the key."""
+    from repro.core import IntervalLockManager
+
+    keys = [float(k) for k in face_like(400, seed=4)]
+    manager = IntervalLockManager(debug_asserts=True)
+    durable = DurableIndex(ChameleonIndex(lock_manager=manager), tmp_path, fsync="none")
+    durable.bulk_load(keys, [2.0 * k + 1.0 for k in keys])
+    entered = []
+    query_lock = manager.query_lock
+
+    def counting_query_lock(ids, counters=None):
+        entered.append(ids)
+        return query_lock(ids, counters)
+
+    monkeypatch.setattr(manager, "query_lock", counting_query_lock)
+    assert durable.delete(keys[10])
+    assert len(entered) == 1
+    assert durable.last_lsn == 2
+
+    victim = keys[11]
+    inj = FaultInjector(seed=0)
+    inj.arm("wal.append", FaultMode.RAISE, probability=1.0, max_fires=1)
+    with inj.installed():
+        with pytest.raises(InjectedFault):
+            durable.delete(victim)
+    assert durable.lookup(victim) == 2.0 * victim + 1.0
+    assert durable.last_lsn == 2
+
+    absent = (keys[20] + keys[21]) / 2.0
+    assert absent not in keys
+    assert durable.delete(absent) is False
+    assert durable.last_lsn == 2
+    assert manager.race_report() == []
+    durable.close()
+
+
 def test_short_write_fault_rolls_back_and_log_stays_clean(tmp_path):
     durable, states = _durable_workload(tmp_path, n_ops=5)
     lsn_before = durable.last_lsn

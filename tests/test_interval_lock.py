@@ -220,6 +220,96 @@ class TestRetrainLockDeadline:
         assert manager.active_intervals() == 0
 
 
+class TestWaiterCounting:
+    def test_query_release_without_waiters_does_not_notify(self, manager):
+        ids = (10,)
+        with manager.query_lock(ids):
+            pass
+        state = manager._states[ids]
+        notified = []
+        notify_all = state.condition.notify_all
+
+        def counting_notify_all():
+            notified.append(1)
+            notify_all()
+
+        state.condition.notify_all = counting_notify_all
+        for _ in range(3):
+            with manager.query_lock(ids):
+                pass
+        assert notified == []
+        assert state.waiters == 0
+
+    def test_blocked_retrain_acquires_promptly_once_the_reader_releases(self, manager):
+        ids = (11,)
+        inside = threading.Event()
+        release = threading.Event()
+        acquired_at = []
+
+        def query():
+            with manager.query_lock(ids):
+                inside.set()
+                release.wait(timeout=5)
+
+        def retrain():
+            with manager.retrain_lock(ids, timeout=5) as acquired:
+                acquired_at.append((acquired, time.perf_counter()))
+
+        t_query = threading.Thread(target=query, daemon=True)
+        t_query.start()
+        assert inside.wait(timeout=2)
+        t_retrain = threading.Thread(target=retrain, daemon=True)
+        t_retrain.start()
+        deadline = time.perf_counter() + 2
+        while manager._states[ids].waiters == 0:
+            assert time.perf_counter() < deadline, "retrain never blocked"
+            time.sleep(0.001)
+        released_at = time.perf_counter()
+        release.set()
+        t_retrain.join(timeout=5)
+        t_query.join(timeout=2)
+        assert acquired_at and acquired_at[0][0]
+        assert acquired_at[0][1] - released_at < 1.0
+        assert manager._states[ids].waiters == 0
+
+    def test_waiter_count_returns_to_zero(self, manager):
+        ids = (12,)
+        inside = threading.Event()
+        release = threading.Event()
+
+        def query():
+            with manager.query_lock(ids):
+                inside.set()
+                release.wait(timeout=5)
+
+        t = threading.Thread(target=query, daemon=True)
+        t.start()
+        assert inside.wait(timeout=2)
+        with manager.retrain_lock(ids, timeout=0.05) as acquired:
+            assert not acquired
+        assert manager._states[ids].waiters == 0
+        release.set()
+        t.join(timeout=2)
+        with manager.retrain_lock(ids, timeout=1.0) as acquired:
+            assert acquired
+            # A query parked behind the retrain counts as a waiter too.
+
+            def parked_query():
+                with manager.query_lock(ids):
+                    pass
+
+            parked = threading.Thread(target=parked_query, daemon=True)
+            parked.start()
+            deadline = time.perf_counter() + 2
+            while manager._states[ids].waiters == 0:
+                assert time.perf_counter() < deadline, "query never blocked"
+                time.sleep(0.001)
+        parked.join(timeout=2)
+        assert not parked.is_alive()
+        assert manager._states[ids].waiters == 0
+        assert manager.active_intervals() == 0
+
+
 class TestDiagnostics:
     def test_active_intervals(self, manager):
         assert manager.active_intervals() == 0
