@@ -207,16 +207,20 @@ class IntervalLockManager:
         queries on the interval (and everything on other intervals) pass.
         """
         ids = tuple(ids)
-        # Sinks are read once per acquisition; the disarmed path pays two
-        # module-attribute loads and no clock reads or allocations.
+        # Sinks are read once per acquisition. The clock is read only for
+        # what uses it: the wait histogram (a waited acquisition) and the
+        # trace span, so an uncontended acquisition under metrics alone
+        # reads no clock.
         rec = obs_trace.ACTIVE
         mreg = obs_metrics.ACTIVE
         armed = rec is not None or mreg is not None
-        t_enter = time.monotonic_ns() if armed else 0
+        t_enter = 0
         with self._mutex:
             state = self._state(ids)
             waited = state.retraining
             if waited:
+                if armed:
+                    t_enter = time.monotonic_ns()
                 state.waiters += 1
                 try:
                     while state.retraining:
@@ -224,7 +228,7 @@ class IntervalLockManager:
                 finally:
                     state.waiters -= 1
             state.readers += 1
-        t_acq = time.monotonic_ns() if armed else 0
+        t_acq = time.monotonic_ns() if armed and (waited or rec is not None) else 0
         if mreg is not None and waited:
             mreg.observe("chameleon_lock_wait_seconds", (t_acq - t_enter) / 1e9)
         if counters is not None:

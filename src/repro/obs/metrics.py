@@ -13,13 +13,20 @@ The registry knows the canonical Chameleon instruments (probe length,
 descent depth, lock waits, retrain cost units, per-leaf gauges) so call
 sites can observe by name without carrying bucket layouts around; unknown
 names are created on first use with default buckets.
+
+Armed writes are cheap: ``inc`` and ``observe`` append to the
+instrument's pending buffer and return; the buffer is folded into the
+totals when it reaches :data:`FOLD_SIZE` values and by every read, so a
+reader always sees every write made before it.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from array import array
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 #: Environment flag that arms metrics at import of :mod:`repro.obs`.
 METRICS_ENV = "REPRO_METRICS"
@@ -60,48 +67,112 @@ KNOWN_HISTOGRAMS: dict[str, tuple[tuple[float, ...], str]] = {
 }
 
 
-class CounterMetric:
-    """Monotonic counter (Prometheus ``counter``)."""
+#: Pending values an instrument holds before the observing thread folds
+#: them into its totals; bounds each instrument's memory at 8 bytes a
+#: value. A reader folds whatever is pending first, so no reader sees a
+#: stale value. A fold costs a fixed ~10 us plus ~15 ns a value, paid by
+#: the one operation that triggers it, so a large batch keeps folds out
+#: of the p99: at 8192, about one operation in 3,000 pays one.
+FOLD_SIZE = 8192
 
-    __slots__ = ("name", "help_text", "value", "_mutex")
 
-    def __init__(self, name: str, help_text: str = "") -> None:
+class _Folded:
+    """Append-now, fold-later instrument state.
+
+    A write is one ``array.append`` of a C double, atomic under the
+    interpreter lock; no mutex, no bucket search and no retained Python
+    object sit on the calling thread. A fold copies the first ``n``
+    pending values and deletes exactly those ``n`` under the instrument
+    mutex, so an append that races a fold stays pending for the next one
+    and no update is lost.
+    """
+
+    __slots__ = ("name", "help_text", "_pending", "_mutex")
+
+    def __init__(self, name: str, help_text: str) -> None:
         self.name = name
         self.help_text = help_text
-        self.value = 0.0
+        self._pending = array("d")
         self._mutex = threading.Lock()
 
-    def inc(self, amount: float = 1.0) -> None:
+    def _take(self) -> array[float]:
+        """Remove and return the pending values (caller holds the mutex)."""
+        pending = self._pending
+        n = len(pending)
+        batch = pending[:n]
+        del pending[:n]
+        return batch
+
+    def _fold(self) -> None:
         with self._mutex:
-            self.value += amount
+            batch = self._take()
+            if batch:
+                self._absorb(np.frombuffer(batch, dtype=np.float64))
+
+    def _absorb(self, values: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+def _running_sum(start: float, values: np.ndarray) -> float:
+    """``start`` plus ``values`` added left to right, as a running += would.
+
+    ``accumulate`` adds in order (``sum`` would add pairwise); like +=, it
+    turns inf + -inf into NaN without a warning.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+
+
+class CounterMetric(_Folded):
+    """Monotonic counter (Prometheus ``counter``)."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, name: str, help_text: str = "") -> None:
+        super().__init__(name, help_text)
+        self._value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        pending = self._pending
+        pending.append(amount)
+        if len(pending) >= FOLD_SIZE:
+            self._fold()
+
+    def _absorb(self, values: np.ndarray) -> None:
+        self._value = _running_sum(self._value, values)
+
+    @property
+    def value(self) -> float:
+        self._fold()
+        return self._value
 
 
 class GaugeMetric:
-    """Point-in-time value (Prometheus ``gauge``)."""
+    """Point-in-time value (Prometheus ``gauge``); a set is one store."""
 
-    __slots__ = ("name", "help_text", "value", "_mutex")
+    __slots__ = ("name", "help_text", "value")
 
     def __init__(self, name: str, help_text: str = "") -> None:
         self.name = name
         self.help_text = help_text
         self.value = 0.0
-        self._mutex = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._mutex:
-            self.value = float(value)
+        self.value = float(value)
 
 
-class HistogramMetric:
+class HistogramMetric(_Folded):
     """Fixed-bucket histogram (Prometheus ``histogram``).
 
     ``bounds`` are the finite bucket upper edges; an implicit ``+Inf``
-    bucket catches the tail. Observation keeps per-bucket counts (not
+    bucket catches the tail. The folded state is per-bucket counts (not
     cumulative — exposition cumulates on the way out), a running sum, and
-    the observation count.
+    the observation count; a fold buckets its batch in bulk and adds to
+    the sum in observation order, so the state equals a per-value
+    ``bisect_left`` loop's over the values as doubles.
     """
 
-    __slots__ = ("name", "help_text", "bounds", "bucket_hits", "total", "n_observed", "_mutex")
+    __slots__ = ("bounds", "_edges", "_hits", "_total", "_count")
 
     def __init__(
         self,
@@ -109,8 +180,7 @@ class HistogramMetric:
         bounds: Sequence[float] = DEFAULT_BUCKETS,
         help_text: str = "",
     ) -> None:
-        self.name = name
-        self.help_text = help_text
+        super().__init__(name, help_text)
         # Observability must never crash the host process: unusable
         # bounds (empty, or not coercible to float) degrade to the
         # default buckets instead of raising out of an observe() call.
@@ -119,25 +189,49 @@ class HistogramMetric:
         except (TypeError, ValueError):
             cleaned = ()
         self.bounds: tuple[float, ...] = cleaned or DEFAULT_BUCKETS
-        self.bucket_hits = [0] * (len(self.bounds) + 1)  # +Inf last
-        self.total = 0.0
-        self.n_observed = 0
-        self._mutex = threading.Lock()
+        self._edges = np.asarray(self.bounds, dtype=np.float64)
+        self._hits = [0] * (len(self.bounds) + 1)  # +Inf last
+        self._total = 0.0
+        self._count = 0
 
     def observe(self, value: float) -> None:
-        with self._mutex:
-            self.bucket_hits[bisect_left(self.bounds, value)] += 1
-            self.total += value
-            self.n_observed += 1
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= FOLD_SIZE:
+            self._fold()
 
     def observe_many(self, values: Iterable[float]) -> None:
+        batch = array("d", values)
         with self._mutex:
-            bounds = self.bounds
-            hits = self.bucket_hits
-            for value in values:
-                hits[bisect_left(bounds, value)] += 1
-                self.total += value
-                self.n_observed += 1
+            batch = self._take() + batch
+            if batch:
+                self._absorb(np.frombuffer(batch, dtype=np.float64))
+
+    def _absorb(self, values: np.ndarray) -> None:
+        buckets = np.searchsorted(self._edges, values, side="left")
+        # bisect_left puts NaN first (every comparison with it is false);
+        # searchsorted puts it last.
+        buckets[np.isnan(values)] = 0
+        counts = np.bincount(buckets, minlength=len(self._hits)).tolist()
+        self._hits = [h + c for h, c in zip(self._hits, counts)]
+        self._total = _running_sum(self._total, values)
+        self._count += len(values)
+
+    @property
+    def bucket_hits(self) -> list[int]:
+        """Per-bucket counts, ``+Inf`` last."""
+        self._fold()
+        return self._hits
+
+    @property
+    def total(self) -> float:
+        self._fold()
+        return self._total
+
+    @property
+    def n_observed(self) -> int:
+        self._fold()
+        return self._count
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """(upper bound, cumulative count) pairs, ``+Inf`` last."""
@@ -160,20 +254,26 @@ class MetricsRegistry:
         self._histograms: dict[str, HistogramMetric] = {}
 
     # -- instrument access (get-or-create) ----------------------------------
+    # An existing instrument comes from a plain dict read; the mutex guards
+    # only creation, so two threads cannot create one name twice.
 
     def counter(self, name: str, help_text: str = "") -> CounterMetric:
-        with self._mutex:
-            metric = self._counters.get(name)
-            if metric is None:
-                metric = self._counters[name] = CounterMetric(name, help_text)
-            return metric
+        metric = self._counters.get(name)
+        if metric is None:
+            with self._mutex:
+                metric = self._counters.get(name)
+                if metric is None:
+                    metric = self._counters[name] = CounterMetric(name, help_text)
+        return metric
 
     def gauge(self, name: str, help_text: str = "") -> GaugeMetric:
-        with self._mutex:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = GaugeMetric(name, help_text)
-            return metric
+        metric = self._gauges.get(name)
+        if metric is None:
+            with self._mutex:
+                metric = self._gauges.get(name)
+                if metric is None:
+                    metric = self._gauges[name] = GaugeMetric(name, help_text)
+        return metric
 
     def histogram(
         self,
@@ -181,17 +281,19 @@ class MetricsRegistry:
         bounds: Sequence[float] | None = None,
         help_text: str = "",
     ) -> HistogramMetric:
-        with self._mutex:
-            metric = self._histograms.get(name)
-            if metric is None:
-                if bounds is None:
-                    known_bounds, known_help = KNOWN_HISTOGRAMS.get(
-                        name, (DEFAULT_BUCKETS, help_text)
-                    )
-                    bounds = known_bounds
-                    help_text = help_text or known_help
-                metric = self._histograms[name] = HistogramMetric(name, bounds, help_text)
-            return metric
+        metric = self._histograms.get(name)
+        if metric is None:
+            with self._mutex:
+                metric = self._histograms.get(name)
+                if metric is None:
+                    if bounds is None:
+                        known_bounds, known_help = KNOWN_HISTOGRAMS.get(
+                            name, (DEFAULT_BUCKETS, help_text)
+                        )
+                        bounds = known_bounds
+                        help_text = help_text or known_help
+                    metric = self._histograms[name] = HistogramMetric(name, bounds, help_text)
+        return metric
 
     # -- one-call observation shorthands ------------------------------------
 

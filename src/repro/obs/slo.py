@@ -3,10 +3,10 @@
 The async front door (ROADMAP) needs *recent* tail latency — a process-
 lifetime histogram dilutes a regression that started seconds ago. The
 :class:`SloTracker` keeps a ring of fixed-width time windows per
-operation kind, each a fixed-bucket latency histogram; quantiles merge
-the live window with the ring and interpolate inside the winning bucket,
-so memory stays O(windows x buckets) while the estimate tracks the last
-``window_s * windows`` seconds only.
+operation kind, each a :class:`~repro.obs.metrics.HistogramMetric`;
+quantiles merge the windows inside the horizon and interpolate inside
+the winning bucket, so memory stays O(windows x buckets) while the
+estimate tracks the last ``window_s * (windows + 1)`` seconds only.
 
 Arming follows the :data:`ACTIVE` singleton-swap pattern: the index hot
 paths read ``slo.ACTIVE`` once per operation and skip the clock reads
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from bisect import bisect_left
 from collections import deque
 from typing import Any
 
@@ -59,20 +58,18 @@ DEFAULT_BOUNDS: tuple[float, ...] = (
 #: Quantiles exposed as gauges by :meth:`SloTracker.publish`.
 PUBLISHED_QUANTILES = (0.50, 0.95, 0.99)
 
-
-class _Window:
-    """One time window: per-bucket hit counts for one operation kind."""
-
-    __slots__ = ("index", "hits", "count")
-
-    def __init__(self, index: int, n_buckets: int) -> None:
-        self.index = index
-        self.hits = [0] * n_buckets
-        self.count = 0
+#: One kind's windows, oldest first: ``(window index, histogram)`` pairs.
+_Ring = deque[tuple[int, metrics_mod.HistogramMetric]]
 
 
 class SloTracker:
     """Windowed latency quantiles per operation kind.
+
+    Each kind keeps a ring of ``(window index, HistogramMetric)`` pairs,
+    the live window last; window ``i`` covers ``[i, i + 1) * window_s``
+    from construction. A window counts toward the quantiles while its
+    index is within ``windows`` of the current one, the live window
+    included, so a kind that stops being observed ages out.
 
     Args:
         window_s: width of one window in seconds.
@@ -100,13 +97,11 @@ class SloTracker:
         self._window_ns = int(self.window_s * 1e9)
         self._t0_ns = time.monotonic_ns()
         self._mutex = threading.Lock()
-        self._live: dict[str, _Window] = {}
-        self._closed: dict[str, deque[_Window]] = {}
+        #: kind -> (window ring, lifetime observation counter). The pair is
+        #: stored in one assignment, so a reader sees both or neither.
+        self._series: dict[str, tuple[_Ring, metrics_mod.CounterMetric]] = {}
         for kind in kinds:
-            self._live[kind] = _Window(0, self._n_buckets)
-            self._closed[kind] = deque(maxlen=self.windows)
-        #: Observations recorded over the tracker's lifetime, per kind.
-        self.observed: dict[str, int] = {kind: 0 for kind in kinds}
+            self._new_series(kind, 0)
         #: Contained internal failures (``repr`` strings); never raised.
         self.errors: list[str] = []
 
@@ -117,23 +112,39 @@ class SloTracker:
         """Record one operation latency (nanoseconds). Never raises."""
         try:
             now_index = (time.monotonic_ns() - self._t0_ns) // self._window_ns
-            seconds = dur_ns / 1e9
-            bucket = bisect_left(self.bounds, seconds)
-            with self._mutex:
-                live = self._live.get(kind)
-                if live is None:
-                    live = self._live[kind] = _Window(now_index, self._n_buckets)
-                    self._closed[kind] = deque(maxlen=self.windows)
-                    self.observed[kind] = 0
-                if now_index > live.index:
-                    if live.count:
-                        self._closed[kind].append(live)
-                    live = self._live[kind] = _Window(now_index, self._n_buckets)
-                live.hits[bucket] += 1
-                live.count += 1
-                self.observed[kind] += 1
+            series = self._series.get(kind)
+            if series is None:
+                series = self._new_series(kind, now_index)
+            ring, count = series
+            index, live = ring[-1]
+            if now_index > index:
+                live = self._roll(ring, now_index)
+            live.observe(dur_ns / 1e9)
+            count.inc()
         except Exception as exc:
             self._note(exc)
+
+    def _new_series(self, kind: str, index: int) -> tuple[_Ring, metrics_mod.CounterMetric]:
+        with self._mutex:
+            series = self._series.get(kind)
+            if series is None:
+                ring: _Ring = deque(maxlen=self.windows + 1)
+                ring.append((index, metrics_mod.HistogramMetric(kind, self.bounds)))
+                series = self._series[kind] = (ring, metrics_mod.CounterMetric(kind))
+            return series
+
+    def _roll(self, ring: _Ring, now_index: int) -> metrics_mod.HistogramMetric:
+        """Open window ``now_index`` on ``ring`` unless a racer already did.
+
+        The oldest window drops off the ring only once it is past the
+        horizon: the ring holds ``windows + 1`` distinct indices.
+        """
+        with self._mutex:
+            index, live = ring[-1]
+            if now_index > index:
+                live = metrics_mod.HistogramMetric(live.name, self.bounds)
+                ring.append((now_index, live))
+            return live
 
     def _note(self, exc: Exception) -> None:
         try:
@@ -143,22 +154,24 @@ class SloTracker:
 
     # -- reading -------------------------------------------------------------
 
+    @property
+    def observed(self) -> dict[str, int]:
+        """Observations recorded over the tracker's lifetime, per kind."""
+        return {kind: int(count.value) for kind, (_, count) in list(self._series.items())}
+
     def _merged(self, kind: str) -> tuple[list[int], int]:
-        """Merged bucket hits + total count across live and retained windows."""
+        """Merged bucket hits + total count across the windows in the horizon."""
+        series = self._series.get(kind)
+        if series is None:
+            return [0] * self._n_buckets, 0
+        horizon = (time.monotonic_ns() - self._t0_ns) // self._window_ns - self.windows
         with self._mutex:
-            live = self._live.get(kind)
-            if live is None:
-                return [0] * self._n_buckets, 0
-            horizon = (time.monotonic_ns() - self._t0_ns) // self._window_ns - self.windows
-            merged = list(live.hits)
-            total = live.count
-            for window in self._closed[kind]:
-                if window.index < horizon:
-                    continue  # aged out of the sliding horizon
-                for i, hits in enumerate(window.hits):
-                    merged[i] += hits
-                total += window.count
-            return merged, total
+            ring = list(series[0])
+        merged = [0] * self._n_buckets
+        for index, window in ring:
+            if index >= horizon:
+                merged = [m + h for m, h in zip(merged, window.bucket_hits)]
+        return merged, sum(merged)
 
     def quantile(self, kind: str, q: float) -> float | None:
         """Latency quantile ``q`` in seconds over the sliding horizon.
@@ -188,8 +201,7 @@ class SloTracker:
         return self._merged(kind)[1]
 
     def kinds(self) -> list[str]:
-        with self._mutex:
-            return sorted(self._live)
+        return sorted(self._series)
 
     def snapshot(self) -> dict[str, dict[str, float | int | None]]:
         """All published quantiles + window counts, per kind."""

@@ -13,10 +13,16 @@ The contracts pinned here are the ones docs/observability.md promises:
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import random
+import sys
 import threading
 import time
 import tracemalloc
+import types
+from bisect import bisect_left
 
 import pytest
 
@@ -240,6 +246,199 @@ class TestMetrics:
             parse_prometheus("this is not exposition format\n")
 
 
+class _ReferenceRegistry:
+    """The instruments' semantics written plainly: every write is applied
+    at once, a histogram value lands in ``bisect_left(bounds, value)`` and
+    is added to the running sum in order."""
+
+    def __init__(self) -> None:
+        self.counters: dict[str, float] = {}
+        self.hists: dict[str, tuple[tuple[float, ...], list[int], list[float]]] = {}
+
+    def inc(self, name: str, amount: float = 1.0) -> None:
+        self.counters[name] = self.counters.get(name, 0.0) + amount
+
+    def observe(self, name: str, value: float) -> None:
+        if name not in self.hists:
+            bounds = metrics_mod.KNOWN_HISTOGRAMS.get(name, (metrics_mod.DEFAULT_BUCKETS, ""))[0]
+            bounds = tuple(sorted(float(b) for b in bounds))
+            self.hists[name] = (bounds, [0] * (len(bounds) + 1), [0.0, 0])
+        bounds, hits, acc = self.hists[name]
+        hits[bisect_left(bounds, value)] += 1
+        acc[0] += value
+        acc[1] += 1
+
+    def to_dict(self) -> dict:
+        hists = {}
+        for name, (bounds, hits, (total, count)) in sorted(self.hists.items()):
+            cumulative = list(itertools.accumulate(hits))
+            hists[name] = {
+                "buckets": [[e, c] for e, c in zip((*bounds, float("inf")), cumulative)],
+                "sum": total,
+                "count": count,
+            }
+        return {"counters": dict(sorted(self.counters.items())), "gauges": {}, "histograms": hists}
+
+    def to_prometheus(self) -> str:
+        fmt = metrics_mod._fmt
+        lines = []
+        for name, value in sorted(self.counters.items()):
+            lines += [f"# TYPE {name} counter", f"{name} {fmt(value)}"]
+        for name, hist in self.to_dict()["histograms"].items():
+            help_text = metrics_mod.KNOWN_HISTOGRAMS.get(name, ((), ""))[1]
+            if help_text:
+                lines.append(f"# HELP {name} {help_text}")
+            lines.append(f"# TYPE {name} histogram")
+            for edge, cumulative in hist["buckets"]:
+                le = "+Inf" if edge == float("inf") else fmt(edge)
+                lines.append(f'{name}_bucket{{le="{le}"}} {cumulative}')
+            lines += [f"{name}_sum {fmt(hist['sum'])}", f"{name}_count {hist['count']}"]
+        return "\n".join(lines) + "\n"
+
+
+def _bits(dump: dict) -> str:
+    """A dump as text in which equal means bit-identical (NaN included)."""
+    return json.dumps(dump, sort_keys=True)
+
+
+class TestDeferredInstruments:
+    """Appended writes fold to exactly what applying each write would give."""
+
+    HISTS = {
+        # name -> values drawn from (finite, then the specials it takes)
+        "chameleon_probe_length_slots": (),
+        "chameleon_lock_wait_seconds": (float("inf"), float("-inf")),
+        "custom_default_buckets": (float("nan"), float("inf")),
+    }
+
+    def _value(self, rng: random.Random, name: str) -> float:
+        bounds = metrics_mod.KNOWN_HISTOGRAMS.get(name, (metrics_mod.DEFAULT_BUCKETS, ""))[0]
+        roll = rng.random()
+        if roll < 0.3:
+            return rng.choice(bounds)  # exactly on an edge
+        if roll < 0.4:
+            return rng.choice((0, 0.0, -0.0, -1, -2.5))
+        if roll < 0.45 and self.HISTS[name]:
+            return rng.choice(self.HISTS[name])
+        if roll < 0.7:
+            return rng.randint(0, 300)
+        return rng.uniform(-1.0, 2.0) * max(bounds)
+
+    @pytest.mark.parametrize("fold_size", [97, metrics_mod.FOLD_SIZE])
+    def test_seeded_program_matches_reference_fold(self, monkeypatch, fold_size):
+        monkeypatch.setattr(metrics_mod, "FOLD_SIZE", fold_size)
+        rng = random.Random(20260418)
+        reg = obs.MetricsRegistry()
+        ref = _ReferenceRegistry()
+        names = list(self.HISTS)
+        readers = 0
+        for _ in range(12_000):  # at 97, dozens of write-triggered folds each
+            roll = rng.random()
+            if roll < 0.5:
+                name = rng.choice(names)
+                value = self._value(rng, name)
+                reg.observe(name, value)
+                ref.observe(name, value)
+            elif roll < 0.6:
+                name = rng.choice(names)
+                values = [self._value(rng, name) for _ in range(rng.randint(0, 40))]
+                reg.observe_many(name, values)
+                for value in values:
+                    ref.observe(name, value)
+            elif roll < 0.99:
+                name = rng.choice(("ops_total", "bytes_total"))
+                amount = rng.choice((1, 1.0, 0.1, 3, 1e-7, rng.random() * 1e3))
+                reg.inc(name, amount)
+                ref.inc(name, amount)
+            else:
+                readers += 1
+                reader = rng.randrange(7)
+                name = rng.choice(names)
+                if reader == 0:
+                    assert _bits(reg.to_dict()) == _bits(ref.to_dict())
+                elif reader == 1:
+                    assert reg.to_prometheus() == ref.to_prometheus()
+                elif name in ref.hists and reader == 2:
+                    assert reg.histogram(name).bucket_hits == ref.hists[name][1]
+                elif name in ref.hists and reader == 3:
+                    assert _bits([reg.histogram(name).total]) == _bits([ref.hists[name][2][0]])
+                elif name in ref.hists and reader == 4:
+                    assert reg.histogram(name).n_observed == ref.hists[name][2][1]
+                elif name in ref.hists and reader == 5:
+                    cumulative = reg.histogram(name).cumulative_buckets()
+                    assert [c for _, c in cumulative] == list(
+                        itertools.accumulate(ref.hists[name][1])
+                    )
+                elif "ops_total" in ref.counters:
+                    assert reg.counter("ops_total").value == ref.counters["ops_total"]
+        assert readers > 50
+        assert _bits(reg.to_dict()) == _bits(ref.to_dict())
+        assert reg.to_prometheus() == ref.to_prometheus()
+        # The NaN went to bucket 0, as bisect_left puts it.
+        nan_hist = ref.hists["custom_default_buckets"]
+        assert math.isnan(nan_hist[2][0])
+        assert reg.histogram("custom_default_buckets").bucket_hits == nan_hist[1]
+
+    def test_pending_writes_stay_bounded(self):
+        hist = metrics_mod.HistogramMetric("h")
+        counter = metrics_mod.CounterMetric("c")
+        for i in range(5 * metrics_mod.FOLD_SIZE + 3):
+            hist.observe(i % 7)
+            counter.inc()
+            assert len(hist._pending) < metrics_mod.FOLD_SIZE
+            assert len(counter._pending) < metrics_mod.FOLD_SIZE
+        assert hist.n_observed == counter.value == 5 * metrics_mod.FOLD_SIZE + 3
+
+    def test_no_lost_updates_under_threads(self):
+        reg = obs.MetricsRegistry()
+        per_thread = 20_000
+        workers = 4
+        stop = threading.Event()
+        dumps = []
+        errors = []
+
+        def writer(seed: int) -> None:
+            try:
+                for i in range(per_thread):
+                    reg.observe("chameleon_probe_length_slots", (i + seed) % 200)
+                    reg.inc("ops_total")
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        def reader() -> None:
+            while not stop.is_set():
+                dumps.append(reg.to_dict()["counters"].get("ops_total", 0.0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(s,)) for s in range(workers)]
+            watcher = threading.Thread(target=reader)
+            watcher.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            stop.set()
+            watcher.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not watcher.is_alive()
+        assert errors == []
+        ref = _ReferenceRegistry()
+        for seed in range(workers):
+            for i in range(per_thread):
+                ref.observe("chameleon_probe_length_slots", (i + seed) % 200)
+        dump = reg.to_dict()
+        assert dump["counters"]["ops_total"] == workers * per_thread
+        hist = dump["histograms"]["chameleon_probe_length_slots"]
+        expect = ref.to_dict()["histograms"]["chameleon_probe_length_slots"]
+        assert hist["count"] == workers * per_thread
+        assert hist["buckets"] == expect["buckets"]
+        assert hist["sum"] == expect["sum"]  # integer-valued: exact in any order
+        assert dumps == sorted(dumps)  # a reader never sees a counter go back
+
+
 # -- exports ------------------------------------------------------------------
 
 
@@ -327,6 +526,24 @@ class TestLockObservability:
         waits = reg.histogram("chameleon_lock_wait_seconds")
         assert waits.n_observed == 1
         assert waits.total >= 0.03
+
+    def test_uncontended_query_lock_reads_no_clock(self, monkeypatch):
+        from repro.core import interval_lock as lock_mod
+
+        reads = []
+
+        def counting_monotonic_ns() -> int:
+            reads.append(1)
+            return time.monotonic_ns()
+
+        shim = types.SimpleNamespace(monotonic_ns=counting_monotonic_ns, monotonic=time.monotonic)
+        monkeypatch.setattr(lock_mod, "time", shim)
+        manager = IntervalLockManager()
+        with obs.armed(registry=obs.MetricsRegistry(), tracing=False):
+            for i in range(100):
+                with manager.query_lock((i % 3,)):
+                    pass
+        assert reads == []
 
     def test_retrain_timeout_emits_event(self):
         manager = IntervalLockManager()

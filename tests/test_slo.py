@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import random
 import time
+from bisect import bisect_left
+from collections import deque
 
 import pytest
 
@@ -80,6 +84,18 @@ class TestQuantiles:
         assert tracker.quantile("lookup", 0.99) < 0.01
         assert tracker.errors == []
 
+    def test_kind_no_longer_observed_ages_out(self):
+        tracker = obs.SloTracker(window_s=0.02, windows=2)
+        tracker.observe("delete", 50 * MS)
+        assert tracker.window_count("delete") == 1
+        # Nothing new arrives, so the window holding the hit stays the
+        # newest one: it must still age out once past the horizon.
+        time.sleep(0.15)
+        assert tracker.window_count("delete") == 0
+        assert tracker.quantile("delete", 0.99) is None
+        assert tracker.observed["delete"] == 1
+        assert tracker.errors == []
+
     def test_publish_exports_gauges(self):
         tracker = obs.SloTracker()
         for _ in range(10):
@@ -96,6 +112,110 @@ class TestQuantiles:
         tracker.observe("lookup", 1 * MS)
         tracker.publish()  # no armed registry: silently nothing
         assert tracker.errors == []
+
+
+class _FakeClock:
+    """Stands in for the ``time`` module that :mod:`repro.obs.slo` reads."""
+
+    def __init__(self) -> None:
+        self.now_ns = 5_000_000_000
+
+    def monotonic_ns(self) -> int:
+        return self.now_ns
+
+
+class _ReferenceTracker:
+    """The windowing algorithm the tracker had before its windows became
+    metric histograms: per kind, a live window plus a ring of the last
+    ``windows`` closed non-empty ones; each value lands in
+    ``bisect_left(bounds, seconds)`` of the window of its clock read."""
+
+    def __init__(self, clock: _FakeClock, window_s: float, windows: int) -> None:
+        self.clock = clock
+        self.window_ns = int(window_s * 1e9)
+        self.windows = windows
+        self.t0 = clock.now_ns
+        self.bounds = slo_mod.DEFAULT_BOUNDS
+        self.live: dict[str, list] = {}  # kind -> [index, hits]
+        self.closed: dict[str, deque] = {}
+
+    def _now(self) -> int:
+        return (self.clock.now_ns - self.t0) // self.window_ns
+
+    def observe(self, kind: str, dur_ns: int) -> None:
+        now = self._now()
+        live = self.live.get(kind)
+        if live is None:
+            live = self.live[kind] = [now, [0] * (len(self.bounds) + 1)]
+            self.closed[kind] = deque(maxlen=self.windows)
+        if now > live[0]:
+            if sum(live[1]):
+                self.closed[kind].append(live)
+            live = self.live[kind] = [now, [0] * (len(self.bounds) + 1)]
+        live[1][bisect_left(self.bounds, dur_ns / 1e9)] += 1
+
+    def merged(self, kind: str) -> list[int]:
+        live = self.live.get(kind)
+        if live is None:
+            return [0] * (len(self.bounds) + 1)
+        horizon = self._now() - self.windows
+        merged = list(live[1])
+        for index, hits in self.closed[kind]:
+            if index >= horizon:
+                merged = [m + h for m, h in zip(merged, hits)]
+        return merged
+
+
+class TestWindowsMatchReference:
+    def test_three_window_boundaries(self, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(slo_mod, "time", clock)
+        window_ns = 20 * MS
+        tracker = obs.SloTracker(window_s=0.02, windows=2)
+        ref = _ReferenceTracker(clock, 0.02, 2)
+        rng = random.Random(7)
+        durations = [0, 1, 999, 1_000, 1_001, 50 * MS, 30 * 10**9] + [
+            int(b * 1e9) for b in slo_mod.DEFAULT_BOUNDS
+        ]
+        start = clock.now_ns
+        checked = 0
+        # Four windows' worth of time: three boundaries crossed, reads
+        # interleaved with the writes, with "scan" appearing mid-run.
+        while clock.now_ns < start + 4 * window_ns - MS:
+            kinds = ("lookup", "insert")
+            if clock.now_ns > start + window_ns:
+                kinds += ("delete", "scan")
+            kind = rng.choice(kinds)
+            dur = rng.choice(durations) if rng.random() < 0.3 else rng.randint(0, 3 * MS)
+            tracker.observe(kind, dur)
+            ref.observe(kind, dur)
+            clock.now_ns += rng.randint(0, 200_000)
+            if rng.random() < 0.05:
+                checked += 1
+                for k in ref.live:
+                    merged = ref.merged(k)
+                    assert tracker.window_count(k) == sum(merged)
+                    for q in (0.5, 0.9, 0.99):
+                        got = tracker.quantile(k, q)
+                        if sum(merged) == 0:
+                            assert got is None
+                        else:
+                            assert got == _reference_quantile(merged, q)
+        assert checked > 20
+        assert (clock.now_ns - start) // window_ns == 3
+        assert tracker.errors == []
+
+
+def _reference_quantile(merged: list[int], q: float) -> float:
+    bounds = slo_mod.DEFAULT_BOUNDS
+    target = max(1, math.ceil(q * sum(merged)))
+    cumulative, lower = 0, 0.0
+    for edge, hits in zip((*bounds, bounds[-1]), merged):
+        if hits and cumulative + hits >= target:
+            return lower + (target - cumulative) / hits * (edge - lower)
+        cumulative += hits
+        lower = edge
+    return bounds[-1]
 
 
 class TestIndexWiring:
