@@ -57,8 +57,8 @@ def test_lookup_batch_throughput(benchmark, name, face_keys):
     """Batch-API lookup over 1024-key vectors (PR-4 batch layer).
 
     Indexes without a vectorised override run the scalar-loop default, so
-    this row doubles as a conformance check; the BENCH_PR9.json baseline
-    records the batch-vs-scalar speedups these rounds correspond to.
+    this row doubles as a conformance check; ``python -m
+    repro.bench.floors`` gates the batch-vs-scalar speedups.
     """
     index = INDEX_REGISTRY[name]()
     index.bulk_load(face_keys)
@@ -74,8 +74,8 @@ def test_insert_batch_throughput(benchmark, name, face_keys):
     """Batch-API insert of 1024 fresh keys, then batch delete to reset.
 
     Only the ``insert_batch`` call is timed (the delete runs between
-    rounds); the BENCH_PR9.json ``write_path`` section records the
-    batch-vs-scalar write speedups these rounds correspond to.
+    rounds); ``python -m repro.bench.floors`` gates Chameleon's
+    batch-vs-scalar write speedups.
     """
     index = INDEX_REGISTRY[name]()
     rng = np.random.default_rng(RNG_SEED)

@@ -2,7 +2,7 @@
 
 from typing import Any, Callable
 
-from . import ablations, baseline, experiments, mixed
+from . import ablations, experiments, mixed
 from .harness import (
     BenchScale,
     Measurement,
@@ -33,7 +33,6 @@ EXPERIMENTS: dict[str, Callable[..., Any]] = {
     "ablation-locks": ablations.run_ablation_locks,
     "ycsb": ablations.run_ycsb,
     "range-scans": ablations.run_range_scans,
-    "perf-baseline": baseline.run_perf_baseline,
 }
 
 __all__ = [

@@ -33,7 +33,7 @@ from ..obs.export import (
     to_jsonl,
     validate_chrome_trace,
 )
-from .baseline import _run_obs_workload
+from .floors import _run_obs_workload
 
 #: Span/event names the workload must produce for the trace to count as
 #: covering the hot paths (lock spans require the locking index the

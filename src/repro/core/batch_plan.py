@@ -38,7 +38,7 @@ the leaves' views of the plan store; a leaf whose storage a rehash
 replaced is marked *detached* and served by the scalar per-leaf logic
 until the next rebuild; keys that reach a missing (``None``) child take
 the scalar per-key walk, which re-reads the live pointer and materialises
-the empty leaf exactly as :meth:`ChameleonIndex._descend` would. The
+the empty leaf exactly as :meth:`ChameleonIndex._descend_lower` would. The
 per-leaf state the fused probes depend on (``n_keys``, conflict degree,
 detached or not) is re-read before each fused op for exactly the leaves
 written outside the plan since its last op (see

@@ -132,8 +132,10 @@ class ChameleonIndex(BaseIndex):
 
     def _lookup_op(self, key_f: float) -> Value | None:
         with obs_trace.span("index.lookup"):
+            if self._root is None:
+                raise EmptyIndexError("index is empty; bulk_load first")
             if self.lock_manager is None:
-                leaf, path, _ = self._descend(key_f)
+                leaf, path = self._descend_lower(key_f, ())
                 if obs_metrics.ACTIVE is not None:
                     obs_metrics.ACTIVE.observe(
                         "chameleon_descent_depth_levels", len(path)
@@ -310,7 +312,7 @@ class ChameleonIndex(BaseIndex):
                 return self._current_plan().lookup(self, karr)
             keys_l: list[float] = karr.tolist()
             if self.lock_manager is None:
-                return [self._descend(k)[0].ebh.lookup(k) for k in keys_l]
+                return [self._descend_lower(k, ())[0].ebh.lookup(k) for k in keys_l]
             out: list[Value | None] = [None] * m
 
             def lookup(i: int, upper: list[tuple[InnerNode, int]]) -> None:
@@ -914,36 +916,6 @@ class ChameleonIndex(BaseIndex):
             return n
 
     # -- internals ---------------------------------------------------------------------
-
-    def _descend(
-        self, key: Key
-    ) -> tuple[LeafNode, list[tuple[InnerNode, int]], tuple[int, ...]]:
-        """Walk to the leaf for ``key``.
-
-        Returns ``(leaf, path, ids)`` where path is the (parent, rank) chain
-        and ids is the path truncated at the h-th-level lock boundary.
-        """
-        if self._root is None:
-            raise EmptyIndexError("index is empty; bulk_load first")
-        node = self._root
-        path: list[tuple[InnerNode, int]] = []
-        ranks: list[int] = []
-        while isinstance(node, InnerNode):
-            self.counters.node_hops += 1
-            rank = node.route(key)
-            path.append((node, rank))
-            ranks.append(rank)
-            child = node.children[rank]
-            if child is None:
-                # Materialise an empty leaf on demand (interval had no keys).
-                low, high = node.child_interval(rank)
-                child = make_leaf(
-                    np.empty(0), [], low, high, self.config, self.counters
-                )
-                node.children[rank] = child
-            node = child
-        ids = tuple(ranks[: max(1, self.config.h - 1)])
-        return node, path, ids
 
     def _descend_upper(
         self, key: Key

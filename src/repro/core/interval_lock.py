@@ -275,7 +275,9 @@ class IntervalLockManager:
         rec = obs_trace.ACTIVE
         mreg = obs_metrics.ACTIVE
         armed = rec is not None or mreg is not None
-        t_enter = time.monotonic_ns() if armed else 0
+        # As in query_lock, the clock is read only for a waited acquisition
+        # or an armed trace span.
+        t_enter = 0
         acquired = False
         waited = False
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -284,6 +286,8 @@ class IntervalLockManager:
             state.waiters += 1
             try:
                 while state.retraining or state.readers > 0:
+                    if not waited and armed:
+                        t_enter = time.monotonic_ns()
                     waited = True
                     if deadline is None:
                         state.condition.wait()
@@ -296,7 +300,7 @@ class IntervalLockManager:
                     acquired = True
             finally:
                 state.waiters -= 1
-        t_acq = time.monotonic_ns() if armed else 0
+        t_acq = time.monotonic_ns() if armed and (waited or rec is not None) else 0
         if acquired:
             if mreg is not None and waited:
                 mreg.observe("chameleon_lock_wait_seconds", (t_acq - t_enter) / 1e9)

@@ -10,8 +10,9 @@ docs/observability.md for the full trigger table).
 Arming discipline matches :mod:`repro.obs.trace`: the module-level
 :data:`ACTIVE` singleton is ``None`` by default and every trigger site
 reads it once — the disarmed path is one attribute load plus a pointer
-comparison, allocating nothing (the bench baseline's tracemalloc
-micro-bench pins it alongside the null span path). Arm via
+comparison, allocating nothing (a tracemalloc micro-bench in
+``tests/test_flight.py`` pins it, as ``tests/test_obs.py`` does the null
+span path). Arm via
 ``REPRO_FLIGHT=<dir>`` in the environment or
 :func:`repro.obs.arm_flight`.
 

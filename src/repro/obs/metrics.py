@@ -312,7 +312,7 @@ class MetricsRegistry:
     # -- exposition ----------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready dump consumed by bench/baseline.py and visualize."""
+        """JSON-ready dump consumed by the timeline sampler and visualize."""
         with self._mutex:
             return {
                 "counters": {n: m.value for n, m in sorted(self._counters.items())},

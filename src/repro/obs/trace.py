@@ -6,8 +6,8 @@ injector established (:mod:`repro.robustness.faults`): hot paths read
 one module-attribute load plus a pointer comparison — :func:`span` returns
 a cached singleton whose ``__enter__``/``__exit__``/``put`` methods are
 no-ops taking only positional arguments, so no tuple, dict, or span object
-is allocated per operation (the bench-smoke job asserts this with a
-tracemalloc micro-bench).
+is allocated per operation (a tracemalloc micro-bench in
+``tests/test_obs.py`` asserts this).
 
 Armed, every span becomes one Chrome-trace "complete" event — name, start,
 duration on the monotonic clock (``time.monotonic_ns``), recording thread —

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import INDEX_REGISTRY, UPDATABLE_INDEXES
+from repro.baselines.btree import BPlusTreeIndex
 from repro.baselines.counters import Counters
+from repro.baselines.interfaces import BaseIndex
 from repro.baselines.pgm import PGMIndex
 from repro.baselines.radix_spline import RadixSplineIndex
 from repro.baselines.sorted_array import SortedArrayIndex
@@ -640,6 +642,17 @@ class TestBaselineBatchOverrides:
         got = b.lookup_batch(queries)
         assert got == want
         assert b.counters.diff(before) == scalar_delta
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ChameleonIndex, RadixSplineIndex, PGMIndex, SortedArrayIndex, BPlusTreeIndex],
+    ids=["Chameleon", "RS", "PGM", "SortedArray", "B+Tree"],
+)
+def test_speed_floor_lineup_overrides_lookup_batch(cls):
+    """Every index the batch speed floors time has its own batch lookup,
+    so a floor never measures the scalar-loop default against itself."""
+    assert cls.lookup_batch is not BaseIndex.lookup_batch
 
 
 class TestDefaultConformance:

@@ -10,7 +10,7 @@ import shutil
 import pytest
 
 from repro.baselines import SortedArrayIndex
-from repro.core import ChameleonIndex
+from repro.core import ChameleonIndex, IntervalLockManager, RetrainingThread
 from repro.datasets import face_like
 from repro.robustness.durability import (
     OP_INSERT,
@@ -28,6 +28,8 @@ from repro.robustness.durability import (
     scan,
 )
 from repro.robustness.faults import FaultInjector, FaultMode, InjectedFault
+from repro.workloads import OpKind
+from repro.workloads.mixed import read_write_workload, split_load_and_pool
 
 
 def _durable_workload(directory, n_keys=120, n_ops=30, fsync="always", **kwargs):
@@ -249,6 +251,47 @@ def test_wal_neutrality_counters_bit_identical(tmp_path):
 
     assert durable_results == plain_results
     assert wrapped.counters == plain.counters
+
+
+def _locked_retrained_stream(keys, directory=None, fsync="always"):
+    """The seeded locked ChaB mixed stream with retrainer sweeps, its
+    writes optionally routed through a WAL in ``directory``."""
+    manager = IntervalLockManager()
+    index = ChameleonIndex(strategy="ChaB", lock_manager=manager)
+    writer = index if directory is None else DurableIndex(index, directory, fsync=fsync)
+    loaded, pool = split_load_and_pool(keys, 0.7, seed=0)
+    writer.bulk_load(loaded)
+    retrainer = RetrainingThread(index, manager, update_threshold=8)
+    before = index.counters.snapshot()
+    results = []
+    for i, op in enumerate(read_write_workload(loaded, pool, 800, write_ratio=0.3, seed=1), 1):
+        if op.kind is OpKind.LOOKUP:
+            results.append(index.lookup(op.key))
+        elif op.kind is OpKind.INSERT:
+            writer.insert(op.key)
+        else:
+            writer.delete(op.key)
+        if i % 100 == 0:
+            retrainer.sweep_once()
+    if writer is not index:
+        writer.close()
+    return index, index.counters.diff(before), results, retrainer.stats
+
+
+@pytest.mark.parametrize("fsync", ["group", "always"])
+def test_locked_retrained_stream_is_wal_neutral_and_recovers(tmp_path, fsync):
+    """WAL-on == WAL-off and recovered == live on the serving stack's
+    write path: interval locks, retrainer sweeps, a WAL under ``fsync``."""
+    keys = face_like(2_000, seed=3)
+    _, plain_counters, plain_results, _ = _locked_retrained_stream(keys)
+    live, counters, results, stats = _locked_retrained_stream(keys, tmp_path, fsync)
+    assert stats.retrained_intervals > 0
+    assert counters == plain_counters
+    assert results == plain_results
+    recovered, report = RecoveryManager(tmp_path, lambda: ChameleonIndex(strategy="ChaB")).recover()
+    assert report.failed_applies == 0
+    assert dict(recovered.items()) == dict(live.items())
+    assert recovered.verify_integrity().ok
 
 
 @pytest.mark.parametrize("locked", [False, True])

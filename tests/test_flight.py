@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from repro import obs
-from repro.bench.baseline import _run_obs_workload
+from repro.bench.floors import _run_obs_workload, full_telemetry
 from repro.core import ChameleonIndex, IntervalLockManager
 from repro.datasets import face_like
 from repro.obs import flight as flight_mod
@@ -291,3 +292,33 @@ class TestNeutrality:
             obs.disarm_flight()
         assert plain_counters == armed_counters
         assert plain_results == armed_results
+
+    def test_full_telemetry_stack_bit_identical_and_quiet(self, tmp_path):
+        """Trace, metrics, a 5 ms timeline sampler, SLO windows and the
+        flight recorder, all armed over the locked mixed workload."""
+        keys = face_like(2000, seed=9)
+        with obs.disarmed():
+            _, plain_counters, plain_results = _run_obs_workload(keys, 600, 0)
+        with full_telemetry(tmp_path) as (sampler, flight):
+            _, armed_counters, armed_results = _run_obs_workload(keys, 600, 0)
+        assert plain_counters == armed_counters
+        assert plain_results == armed_results
+        assert sampler.errors == []
+        assert sampler.samples > 0
+        assert flight.bundles == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_disarmed_tick_and_trigger_allocate_nothing(self):
+        for _ in range(1_000):  # warm-up: interning, caches
+            flight_mod.tick()
+            flight_mod.trigger("warm")
+        iterations = 20_000
+        steps = range(iterations)
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in steps:
+            flight_mod.tick()
+            flight_mod.trigger("x")
+        after, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert (after - before) / iterations < 1.0

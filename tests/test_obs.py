@@ -27,7 +27,7 @@ from bisect import bisect_left
 import pytest
 
 from repro import obs
-from repro.bench.baseline import _run_obs_workload
+from repro.bench.floors import _run_obs_workload
 from repro.bench.visualize import leaf_heatmap
 from repro.core import ChameleonIndex, IntervalLockManager
 from repro.datasets import face_like
@@ -527,7 +527,9 @@ class TestLockObservability:
         assert waits.n_observed == 1
         assert waits.total >= 0.03
 
-    def test_uncontended_query_lock_reads_no_clock(self, monkeypatch):
+    @pytest.fixture
+    def clock_reads(self, monkeypatch):
+        """Every ``monotonic_ns`` call the lock manager makes."""
         from repro.core import interval_lock as lock_mod
 
         reads = []
@@ -538,12 +540,23 @@ class TestLockObservability:
 
         shim = types.SimpleNamespace(monotonic_ns=counting_monotonic_ns, monotonic=time.monotonic)
         monkeypatch.setattr(lock_mod, "time", shim)
+        return reads
+
+    def test_uncontended_query_lock_reads_no_clock(self, clock_reads):
         manager = IntervalLockManager()
         with obs.armed(registry=obs.MetricsRegistry(), tracing=False):
             for i in range(100):
                 with manager.query_lock((i % 3,)):
                     pass
-        assert reads == []
+        assert clock_reads == []
+
+    def test_uncontended_retrain_lock_reads_no_clock(self, clock_reads):
+        manager = IntervalLockManager()
+        with obs.armed(registry=obs.MetricsRegistry(), tracing=False):
+            for i in range(100):
+                with manager.retrain_lock((i % 3,)) as acquired:
+                    assert acquired
+        assert clock_reads == []
 
     def test_retrain_timeout_emits_event(self):
         manager = IntervalLockManager()
