@@ -17,7 +17,8 @@ Resolution proceeds in decreasing order of precision:
 3. ``self.method()`` / ``cls.method()`` / ``super().method()`` — methods
    of the enclosing class, walking base classes that resolve statically
    (same module or imported by name).
-4. ``ClassName()`` — constructor calls bind to ``ClassName.__init__``.
+4. ``ClassName()`` — constructor calls bind to ``ClassName.__init__``,
+   and also to its ``__enter__``/``__exit__`` when it defines them.
 5. **Typed receivers** — ``x.method()`` resolves through a typed receiver
    table: parameter and return annotations, ``self`` attribute assignments
    in ``__init__`` (and class-level annotated fields), and local
@@ -780,8 +781,9 @@ class CallGraph:
             call.func, table, enclosing_class, frame=frame
         )
         if callees:
-            self.edges.setdefault(caller, set()).update(callees)
             self._flow_arguments(table, frame, enclosing_class, caller, call, callees, drop_first)
+            callees = callees | self._context_methods(callees)
+            self.edges.setdefault(caller, set()).update(callees)
         else:
             self._flow_arguments(table, frame, enclosing_class, caller, call, callees, drop_first)
             if kind == "unresolved":
@@ -791,6 +793,28 @@ class CallGraph:
             ResolvedCall(call=call, callees=tuple(sorted(callees)))
         )
         self._site(ctx, table, caller, call, name, "project" if callees else kind)
+
+    def _context_methods(self, callees: set[str]) -> set[str]:
+        """``__enter__``/``__exit__`` of the classes ``callees`` construct.
+
+        An object built from a context-manager class is built to be
+        entered, so the constructor call also reaches what entering and
+        leaving it does (``query_lock`` returns a hold whose ``__enter__``
+        takes the lock). Arguments flow only into ``__init__``.
+        """
+        methods: set[str] = set()
+        for qname in callees:
+            if not qname.endswith(".__init__"):
+                continue
+            owner, cls_name = qname.rsplit(".", 2)[:2]
+            table = self._tables.get(owner)
+            if table is None:
+                continue
+            for name in ("__enter__", "__exit__"):
+                found = self._method_in_hierarchy(table, cls_name, name)
+                if found:
+                    methods.add(found)
+        return methods
 
     def _classify_module_level(
         self, ctx: "ModuleContext", table: _ModuleTable, call: ast.Call

@@ -18,7 +18,7 @@ from ..baselines.counters import Counters
 from ..core.builder import ChameleonBuilder
 from ..core.config import ChameleonConfig
 from ..core.index import ChameleonIndex
-from ..core.interval_lock import IntervalIds, IntervalLockManager
+from ..core.interval_lock import IntervalIds, IntervalLockManager, QueryHold
 from ..datasets import load as load_dataset
 from ..workloads.operations import OpKind, Operation, run_workload
 from ..workloads.readonly import readonly_workload
@@ -156,6 +156,23 @@ def run_ablation_critic(
     return rows
 
 
+class _GlobalLockManager(IntervalLockManager):
+    """Degenerate protocol: every interval maps to one lock entry."""
+
+    def query_lock(
+        self, ids: IntervalIds, counters: Counters | None = None
+    ) -> QueryHold:
+        return super().query_lock((0,), counters)
+
+    def retrain_lock(
+        self,
+        ids: IntervalIds,
+        counters: Counters | None = None,
+        timeout: float | None = None,
+    ) -> AbstractContextManager[bool]:
+        return super().retrain_lock((0,), counters, timeout=timeout)
+
+
 def run_ablation_locks(
     scale: BenchScale | None = None,
     dataset: str = "FACE",
@@ -174,22 +191,6 @@ def run_ablation_locks(
     scale = scale or BenchScale()
     keys = load_dataset(dataset, scale.base_keys // 4, seed=scale.seed)
     rng = np.random.default_rng(scale.seed)
-
-    class _GlobalLockManager(IntervalLockManager):
-        """Degenerate protocol: every interval maps to one lock entry."""
-
-        def query_lock(
-            self, ids: IntervalIds, counters: Counters | None = None
-        ) -> AbstractContextManager[None]:
-            return super().query_lock((0,), counters)
-
-        def retrain_lock(
-            self,
-            ids: IntervalIds,
-            counters: Counters | None = None,
-            timeout: float | None = None,
-        ) -> AbstractContextManager[bool]:
-            return super().retrain_lock((0,), counters, timeout=timeout)
 
     rows = []
     for mode in ("interval-lock", "global-lock"):

@@ -807,9 +807,20 @@ class ChameleonIndex(BaseIndex):
                 )
 
     @declared_contract("counter_neutral")
-    def _locate_leaf(self, key: float) -> LeafNode | None:
-        """Pure Eq. 1 descent — no lock, no materialisation, no counters."""
-        node: Node | None = self._root
+    def _locate_leaf(
+        self, key: float, upper: Sequence[tuple[InnerNode, int]] = ()
+    ) -> LeafNode | None:
+        """Pure Eq. 1 descent — no lock, no materialisation, no counters.
+
+        Starts at the root, or, given ``upper`` (an :meth:`_upper_walk`
+        path), at its last ``(parent, rank)`` slot, re-read here because a
+        retrain may have swapped the subtree under it. A hole reads None.
+        """
+        if upper:
+            parent, rank = upper[-1]
+            node: Node | None = parent.children[rank]
+        else:
+            node = self._root
         while isinstance(node, InnerNode):
             node = node.children[node.raw_route(key)]
         return node
@@ -820,14 +831,15 @@ class ChameleonIndex(BaseIndex):
 
         Under a lock manager the walk below the lock boundary holds the
         interval's query lock (uncounted), so a concurrent writer's rehash
-        is never read half-done.
+        is never read half-done; it continues from the boundary slot the
+        upper walk reached, as every locked op does.
         """
         key_f = float(key)
         if self.lock_manager is None:
             return self._peek_leaf(key_f)
-        ids, _ = self._upper_walk(key_f)
+        ids, upper = self._upper_walk(key_f)
         with self.lock_manager.query_lock(ids):
-            return self._peek_leaf(key_f)
+            return self._peek_leaf(key_f, upper)
 
     @declared_contract("counter_neutral")
     def peek_batch(self, keys: "Sequence[Key]") -> list[Value | None]:
@@ -836,19 +848,24 @@ class ChameleonIndex(BaseIndex):
         lm = self.lock_manager
         if lm is None:
             return [self._peek_leaf(k) for k in keys_l]
-        groups: dict[tuple[int, ...], list[int]] = {}
+        groups: dict[
+            tuple[int, ...], tuple[list[tuple[InnerNode, int]], list[int]]
+        ] = {}
         for i, k in enumerate(keys_l):
-            groups.setdefault(self._upper_walk(k)[0], []).append(i)
+            ids, upper = self._upper_walk(k)
+            groups.setdefault(ids, (upper, []))[1].append(i)
         out: list[Value | None] = [None] * len(keys_l)
-        for ids, idx in groups.items():
+        for ids, (upper, idx) in groups.items():
             with lm.query_lock(ids):
                 for i in idx:
-                    out[i] = self._peek_leaf(keys_l[i])
+                    out[i] = self._peek_leaf(keys_l[i], upper)
         return out
 
     @declared_contract("counter_neutral")
-    def _peek_leaf(self, key: float) -> Value | None:
-        leaf = self._locate_leaf(key)
+    def _peek_leaf(
+        self, key: float, upper: Sequence[tuple[InnerNode, int]] = ()
+    ) -> Value | None:
+        leaf = self._locate_leaf(key, upper)
         return None if leaf is None else leaf.ebh.peek(key)
 
     @declared_contract("counter_neutral")
@@ -934,18 +951,28 @@ class ChameleonIndex(BaseIndex):
     def _upper_walk(
         self, key: Key
     ) -> tuple[tuple[int, ...], list[tuple[InnerNode, int]]]:
-        """:meth:`_descend_upper` without counter traffic."""
+        """:meth:`_descend_upper` without counter traffic.
+
+        Eq. 1 is computed inline, with the exact expression and clamp of
+        :meth:`InnerNode.raw_route`, so the ranks are bit-identical to a
+        walk of per-node calls; every locked op pays this walk.
+        """
         node = self._root
         ranks: list[int] = []
         path: list[tuple[InnerNode, int]] = []
-        boundary = max(1, self.config.h - 1)
-        while isinstance(node, InnerNode) and len(ranks) < boundary:
-            rank = node.raw_route(key)
+        boundary = self.config.h - 1  # >= 1: the config rejects h < 2
+        while isinstance(node, InnerNode):
+            fanout = node.fanout
+            rank = int(fanout * (key - node.low_key) / (node.high_key - node.low_key))
+            if rank < 0:
+                rank = 0
+            elif rank >= fanout:
+                rank = fanout - 1
             ranks.append(rank)
             path.append((node, rank))
-            node = node.children[rank]
-            if node is None:
+            if len(ranks) == boundary:
                 break
+            node = node.children[rank]
         return tuple(ranks), path
 
     def _descend_lower(

@@ -20,6 +20,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
+from types import TracebackType
 from typing import Iterator
 
 from ..baselines.counters import Counters
@@ -164,6 +165,90 @@ class _IntervalState:
         self.condition = threading.Condition(mutex)
 
 
+class QueryHold:
+    """One shared Query-Lock acquisition on an interval.
+
+    Returned by :meth:`IntervalLockManager.query_lock` and used as a
+    context manager (``with lm.query_lock(ids):``). The lock is taken on
+    ``__enter__`` and released on ``__exit__``, also when the body raises.
+    Its own slotted enter/exit, so a locked op pays for the protocol's two
+    mutex sections, not for building and resuming a generator frame.
+    Single use: every ``query_lock`` call returns a fresh hold.
+    """
+
+    __slots__ = ("_manager", "_ids", "_counters", "_state", "_rec", "_t_acq", "_waited")
+
+    def __init__(
+        self,
+        manager: IntervalLockManager,
+        ids: IntervalIds,
+        counters: Counters | None,
+    ) -> None:
+        self._manager = manager
+        self._ids = ids
+        self._counters = counters
+
+    def __enter__(self) -> None:
+        manager = self._manager
+        ids = self._ids
+        # Sinks are read once per acquisition. The clock is read only for
+        # what uses it: the wait histogram (a waited acquisition) and the
+        # trace span, so an uncontended acquisition under metrics alone
+        # reads no clock.
+        rec = obs_trace.ACTIVE
+        mreg = obs_metrics.ACTIVE
+        t_enter = 0
+        with manager._mutex:
+            state = manager._state(ids)
+            waited = state.retraining
+            if waited:
+                if rec is not None or mreg is not None:
+                    t_enter = time.monotonic_ns()
+                state.waiters += 1
+                try:
+                    while state.retraining:
+                        state.condition.wait()
+                finally:
+                    state.waiters -= 1
+            state.readers += 1
+        self._state = state
+        self._rec = rec
+        if rec is not None or (waited and mreg is not None):
+            t_acq = time.monotonic_ns()
+            if mreg is not None and waited:
+                mreg.observe("chameleon_lock_wait_seconds", (t_acq - t_enter) / 1e9)
+            # Read back only by a trace span on release.
+            self._t_acq = t_acq
+            self._waited = waited
+        counters = self._counters
+        if counters is not None:
+            counters.lock_acquisitions += 1
+            if waited:
+                counters.lock_waits += 1
+        if manager._debug:
+            manager._on_acquired(ids, "query")
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        manager = self._manager
+        if manager._debug:
+            manager._on_released(self._ids, "query")
+        rec = self._rec
+        if rec is not None:
+            rec.complete(
+                "lock.query", self._t_acq, {"interval": str(self._ids), "waited": self._waited}
+            )
+        state = self._state
+        with manager._mutex:
+            state.readers -= 1
+            if state.readers == 0 and state.waiters:
+                state.condition.notify_all()
+
+
 class IntervalLockManager:
     """Registry of per-interval reader/writer locks keyed by IDs paths.
 
@@ -197,57 +282,17 @@ class IntervalLockManager:
             self._states[ids] = state
         return state
 
-    @contextmanager
     def query_lock(
         self, ids: IntervalIds, counters: Counters | None = None
-    ) -> Iterator[None]:
-        """Shared Query-Lock on an interval.
+    ) -> QueryHold:
+        """Shared Query-Lock on an interval, as a single-use :class:`QueryHold`.
 
         Blocks only while the same interval is being retrained; concurrent
         queries on the interval (and everything on other intervals) pass.
+        Nothing is taken until the hold is entered (``with`` or
+        ``ExitStack.enter_context``).
         """
-        ids = tuple(ids)
-        # Sinks are read once per acquisition. The clock is read only for
-        # what uses it: the wait histogram (a waited acquisition) and the
-        # trace span, so an uncontended acquisition under metrics alone
-        # reads no clock.
-        rec = obs_trace.ACTIVE
-        mreg = obs_metrics.ACTIVE
-        armed = rec is not None or mreg is not None
-        t_enter = 0
-        with self._mutex:
-            state = self._state(ids)
-            waited = state.retraining
-            if waited:
-                if armed:
-                    t_enter = time.monotonic_ns()
-                state.waiters += 1
-                try:
-                    while state.retraining:
-                        state.condition.wait()
-                finally:
-                    state.waiters -= 1
-            state.readers += 1
-        t_acq = time.monotonic_ns() if armed and (waited or rec is not None) else 0
-        if mreg is not None and waited:
-            mreg.observe("chameleon_lock_wait_seconds", (t_acq - t_enter) / 1e9)
-        if counters is not None:
-            counters.lock_acquisitions += 1
-            if waited:
-                counters.lock_waits += 1
-        if self._debug:
-            self._on_acquired(ids, "query")
-        try:
-            yield
-        finally:
-            if self._debug:
-                self._on_released(ids, "query")
-            if rec is not None:
-                rec.complete("lock.query", t_acq, {"interval": str(ids), "waited": waited})
-            with self._mutex:
-                state.readers -= 1
-                if state.readers == 0 and state.waiters:
-                    state.condition.notify_all()
+        return QueryHold(self, tuple(ids), counters)
 
     @contextmanager
     def retrain_lock(
@@ -268,6 +313,11 @@ class IntervalLockManager:
         each wakeup and a stream of short queries could block the retrainer
         indefinitely. The wait loop therefore recomputes the remaining time
         against a ``time.monotonic()`` deadline.
+
+        Unlike :meth:`query_lock` this stays a ``@contextmanager``
+        generator: it runs once per swept entry, next to a subtree rebuild
+        that costs orders of magnitude more than the generator frame, and
+        one straight-line body keeps the deadline loop readable.
         """
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("interval_lock.retrain", counters)
@@ -275,7 +325,7 @@ class IntervalLockManager:
         rec = obs_trace.ACTIVE
         mreg = obs_metrics.ACTIVE
         armed = rec is not None or mreg is not None
-        # As in query_lock, the clock is read only for a waited acquisition
+        # As in a query hold, the clock is read only for a waited acquisition
         # or an armed trace span.
         t_enter = 0
         acquired = False

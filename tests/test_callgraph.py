@@ -78,6 +78,38 @@ class TestGraphConstruction:
         )
         assert ctx.callgraph().edges["m.make"] == {"m.C.__init__"}
 
+    def test_constructing_a_context_manager_binds_enter_and_exit(self):
+        ctx = project(
+            (
+                "m.py",
+                "class Hold:\n"
+                "    def __init__(self, counters):\n"
+                "        self.counters = counters\n"
+                "    def __enter__(self):\n"
+                "        self.counters.lock_acquisitions += 1\n"
+                "    def __exit__(self, *exc):\n"
+                "        self.cond.wait()\n"
+                "def make(counters):\n"
+                "    return Hold(counters)\n"
+                "class Mgr:\n"
+                "    def query_lock(self, counters):\n"
+                "        return Hold(counters)\n",
+                "m",
+            )
+        )
+        graph = ctx.callgraph()
+        assert graph.edges["m.make"] == {
+            "m.Hold.__init__", "m.Hold.__enter__", "m.Hold.__exit__"
+        }
+        table = compute_effects(graph)
+        # A hold factory carries what entering and leaving the hold does,
+        # as a @contextmanager generator's body did; a lock method stays
+        # walled against the hold's sanctioned condition wait.
+        assert table.effect_of("m.make").counter_mutates
+        assert table.effect_of("m.make").may_block
+        assert table.effect_of("m.Mgr.query_lock").counter_mutates
+        assert not table.effect_of("m.Mgr.query_lock").may_block
+
     def test_cross_module_from_import(self):
         ctx = project(
             ("pkg/helpers.py", "def slow():\n    pass\n", "pkg.helpers"),

@@ -2,10 +2,12 @@
 
 import threading
 import time
+from contextlib import ExitStack
 
 import pytest
 
 from repro.baselines.counters import Counters
+from repro.bench.ablations import _GlobalLockManager
 from repro.core.interval_lock import IntervalLockManager
 
 
@@ -43,6 +45,93 @@ class TestQueryLock:
             pass
         assert counters.lock_acquisitions == 1
         assert counters.lock_waits == 0
+
+
+class TestQueryHold:
+    """``query_lock`` returns a single-use hold; entering it takes the lock."""
+
+    def test_nothing_is_taken_until_entered(self, manager):
+        counters = Counters()
+        hold = manager.query_lock((13,), counters)
+        assert manager.active_intervals() == 0
+        assert counters.lock_acquisitions == 0
+        with hold:
+            assert manager.active_intervals() == 1
+        assert manager.active_intervals() == 0
+        assert counters.lock_acquisitions == 1
+
+    def test_raising_body_releases_its_reader(self, manager):
+        ids = (14,)
+        with pytest.raises(RuntimeError, match="body failed"):
+            with manager.query_lock(ids):
+                assert manager._states[ids].readers == 1
+                raise RuntimeError("body failed")
+        assert manager._states[ids].readers == 0
+        assert manager.stuck_intervals() == []
+        with manager.retrain_lock(ids, timeout=0.5) as acquired:
+            assert acquired
+
+    def test_exit_stack_holds_release_when_the_stack_closes(self, manager):
+        intervals = [(15,), (16, 1), (16, 2)]
+        counters = Counters()
+        with ExitStack() as stack:
+            for ids in intervals:
+                stack.enter_context(manager.query_lock(ids, counters))
+            assert manager.active_intervals() == len(intervals)
+            with manager.retrain_lock((15,), timeout=0.05) as acquired:
+                assert not acquired
+        assert manager.stuck_intervals() == []
+        assert counters.lock_acquisitions == len(intervals)
+
+    def test_debug_ledger_holds_query_only_inside_the_body(self):
+        armed = IntervalLockManager(debug_asserts=True)
+        ids = (17, 3)
+        with armed.query_lock(ids):
+            assert armed.held_modes(ids) == ("query",)
+        assert armed.held_modes(ids) == ()
+        with pytest.raises(KeyError):
+            with armed.query_lock(ids):
+                raise KeyError(ids)
+        assert armed.held_modes(ids) == ()
+        actions = [(e[1], e[2], e[3]) for e in armed.race_detector.events]
+        assert actions == [(ids, "query", "acquire"), (ids, "query", "release")] * 2
+        assert armed.race_report() == []
+
+    def test_global_lock_ablation_blocks_a_query_on_any_interval(self):
+        manager = _GlobalLockManager()
+        counters = Counters()
+        retrain_inside = threading.Event()
+        release = threading.Event()
+        query_done = threading.Event()
+
+        def retrainer():
+            with manager.retrain_lock((3, 1)) as acquired:
+                assert acquired
+                retrain_inside.set()
+                release.wait(timeout=5)
+
+        def query():
+            with manager.query_lock((7, 2), counters):
+                query_done.set()
+
+        t_retrain = threading.Thread(target=retrainer, daemon=True)
+        t_retrain.start()
+        assert retrain_inside.wait(timeout=2)
+        assert manager.is_retraining((0,))
+        t_query = threading.Thread(target=query, daemon=True)
+        t_query.start()
+        deadline = time.perf_counter() + 2
+        while manager._states[(0,)].waiters == 0:
+            assert time.perf_counter() < deadline, "query never blocked"
+            time.sleep(0.001)
+        assert not query_done.is_set()
+        release.set()
+        assert query_done.wait(timeout=2)
+        for t in (t_retrain, t_query):
+            t.join(timeout=2)
+            assert not t.is_alive()
+        assert counters.lock_waits == 1
+        assert manager.stuck_intervals() == []
 
 
 class TestRetrainLock:
