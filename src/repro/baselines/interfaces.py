@@ -365,6 +365,8 @@ def as_key_value_arrays(
 ) -> tuple[list[Key], list[Value]]:
     """Normalise bulk-load input: sort by key, default values to keys.
 
+    A ``None`` value also means the key, as it does for ``insert``.
+
     Raises:
         ValueError: if duplicate keys are supplied or lengths mismatch.
     """
@@ -377,6 +379,7 @@ def as_key_value_arrays(
             raise ValueError(
                 f"keys and values length mismatch: {len(key_list)} != {len(value_list)}"
             )
+        value_list = [k if v is None else v for k, v in zip(key_list, value_list)]
     if not key_list:
         return [], []
     import math

@@ -77,10 +77,11 @@ class BatchQueryPlan:
 
     Built by :func:`build_plan` and executed by the batch entry points of
     :class:`ChameleonIndex` when no lock manager is attached. Under a lock
-    manager batches run the scalar stream with one query lock per
-    interval instead: building a plan rebinds every leaf's slot arrays
-    onto one store, so with concurrent writers a build would need every
-    interval's lock at once.
+    manager batches run the scalar stream instead (writes in batch order,
+    lookups in key order), one query lock per run of consecutive keys in
+    the same interval: building a
+    plan rebinds every leaf's slot arrays onto one store, so with
+    concurrent writers a build would need every interval's lock at once.
 
     The *topology* arrays are immutable; ``store_keys``/``store_values``
     are the live leaf storage (leaves hold views into them), and

@@ -294,12 +294,8 @@ class ChameleonIndex(BaseIndex):
         """Batch lookup; results aligned with ``keys`` (see docs/cost_model.md).
 
         Without a lock manager, batches of at least ``_FUSED_MIN`` keys run
-        through the fused :class:`BatchQueryPlan`; smaller ones run the
-        scalar descent and EBH probe per key. Under a lock manager, keys
-        are grouped by h-th-level interval and each group runs the scalar
-        body under one query lock, so lock acquisitions drop to one per
-        touched interval — the only counters that legitimately differ
-        from the scalar loop.
+        through the fused :class:`BatchQueryPlan`; every other batch runs
+        the scalar body per key through :meth:`_stream`, in key order.
         """
         karr = np.ascontiguousarray(keys, dtype=np.float64)
         m = karr.size
@@ -311,14 +307,14 @@ class ChameleonIndex(BaseIndex):
             if self.lock_manager is None and m >= _FUSED_MIN:
                 return self._current_plan().lookup(self, karr)
             keys_l: list[float] = karr.tolist()
-            if self.lock_manager is None:
-                return [self._descend_lower(k, ())[0].ebh.lookup(k) for k in keys_l]
             out: list[Value | None] = [None] * m
 
             def lookup(i: int, upper: list[tuple[InnerNode, int]]) -> None:
                 out[i] = self._descend_lower(keys_l[i], upper)[0].ebh.lookup(keys_l[i])
 
-            self._per_interval(keys_l, lookup, "lookup_batch")
+            # Lookups change no key, so key order gives the scalar loop's
+            # results and counters, and one run per touched interval.
+            self._stream(keys_l, lookup, "lookup_batch", np.argsort(karr).tolist())
             return out
 
     def insert_batch(
@@ -334,28 +330,23 @@ class ChameleonIndex(BaseIndex):
         and only the colliding or load-triggering residue replays the
         scalar trigger logic — splits and rehashes still fire at exactly
         the sequential load trajectory's points, so counters stay
-        bit-identical to the one-at-a-time stream. Smaller batches, and
-        every batch while faults are armed (they fire per key in an order
-        the plan cannot replicate), run the scalar insert per key. On a
-        duplicate key the batch raises with exactly the preceding keys
-        landed.
-
-        Under a lock manager, keys are grouped by h-th-level interval and
-        each group runs the scalar insert per key, in stream order, under
-        one query lock. A batch that would raise on a duplicate key (one
-        repeated in the batch or already stored) runs the scalar stream
-        instead, one lock per key, so the same prefix lands.
+        bit-identical to the one-at-a-time stream. Every other batch
+        (smaller ones, locked ones, and every batch while faults are
+        armed: they fire per key in an order the plan cannot replicate)
+        runs the scalar insert per key through :meth:`_stream`. A ``None``
+        value stores the key, as :meth:`insert` does. On a duplicate key
+        the batch raises with exactly the preceding keys landed.
         """
         if self._root is None:
             raise EmptyIndexError("bulk_load before inserting")
         karr = np.ascontiguousarray(keys, dtype=np.float64)
         vals: list[Value] | None = None
         if values is not None:
-            vals = list(values)
-            if len(vals) != karr.size:
+            if len(values) != karr.size:
                 raise ValueError(
-                    f"keys and values length mismatch: {karr.size} != {len(vals)}"
+                    f"keys and values length mismatch: {karr.size} != {len(values)}"
                 )
+            vals = [k if v is None else v for k, v in zip(karr.tolist(), values)]
         with obs_trace.span("index.insert_batch").put("n", int(karr.size)):
             if (
                 self.lock_manager is None
@@ -365,30 +356,20 @@ class ChameleonIndex(BaseIndex):
                 self._current_plan().insert(self, karr, vals)
                 return
             keys_l: list[float] = karr.tolist()
-            if (
-                self.lock_manager is None
-                or np.unique(karr).size < karr.size
-                or any(map(self._stores, keys_l))
-            ):
-                for i, k in enumerate(keys_l):
-                    self._insert_op(k, k if vals is None else vals[i])
-                return
+            stored = keys_l if vals is None else vals
 
             def insert(i: int, upper: list[tuple[InnerNode, int]]) -> None:
-                self._insert_locked(keys_l[i], keys_l[i] if vals is None else vals[i], upper)
+                self._insert_locked(keys_l[i], stored[i], upper)
 
-            self._per_interval(keys_l, insert, "insert_batch")
+            self._stream(keys_l, insert, "insert_batch")
 
     def delete_batch(self, keys: "Sequence[Key] | np.ndarray") -> list[bool]:
         """Batch delete; flags aligned positionally with ``keys``.
 
         Without a lock manager, duplicate-free batches of at least
-        ``_FUSED_MIN`` keys run through the fused plan; the rest run the
-        scalar delete per key, so a repeated key observes its first
-        occurrence's clear. Under a lock manager, keys are grouped by
-        h-th-level interval and each group runs the scalar delete per key,
-        in stream order, under one query lock. Either way every counter
-        but the lock traffic matches the one-at-a-time stream.
+        ``_FUSED_MIN`` keys run through the fused plan; every other batch
+        runs the scalar delete per key through :meth:`_stream`, so a
+        repeated key observes its first occurrence's clear.
         """
         karr = np.ascontiguousarray(keys, dtype=np.float64)
         m = karr.size
@@ -404,62 +385,63 @@ class ChameleonIndex(BaseIndex):
             ):
                 return self._current_plan().delete(self, karr)
             keys_l: list[float] = karr.tolist()
-            if self.lock_manager is None:
-                return [
-                    self._delete_at_leaf(self._descend_lower(k, ())[0], k) is not ABSENT
-                    for k in keys_l
-                ]
             out = [False] * m
 
             def delete(i: int, upper: list[tuple[InnerNode, int]]) -> None:
                 k = keys_l[i]
                 out[i] = self._delete_at_leaf(self._descend_lower(k, upper)[0], k) is not ABSENT
 
-            self._per_interval(keys_l, delete, "delete_batch")
+            self._stream(keys_l, delete, "delete_batch")
             return out
 
-    def _per_interval(
+    def _stream(
         self,
         keys: list[float],
         body: Callable[[int, list[tuple[InnerNode, int]]], None],
         where: str,
+        order: Sequence[int] | None = None,
     ) -> None:
-        """Run the scalar ``body`` per batch position, one lock per interval.
+        """Run the scalar ``body`` per batch position, in ``order``.
 
-        Positions are grouped by h-th-level interval with the counter-free
-        :meth:`_upper_walk`; each group then runs under one query lock, in
-        stream order, and every key is charged its upper walk exactly as
-        the scalar op's :meth:`_descend_upper` charges it. ``body(i,
-        upper)`` is the rest of the scalar op for position ``i``. A split
-        of a leaf above the lock boundary moves the keys behind it to a
-        deeper interval: the group's remaining keys are regrouped in a
-        next round, so each key still runs under its own interval's lock.
+        ``body(i, upper)`` is the rest of the scalar op for position ``i``
+        below ``upper``, its lock-boundary path. ``order`` is the sequence
+        of positions to visit, batch order by default; a read-only batch
+        passes key order. Without a lock manager ``upper`` is empty and the
+        body walks (and charges) from the root. Under one, each key's
+        counter-free :meth:`_upper_walk` runs just before its body and is
+        charged as :meth:`_descend_upper` charges it, and one query lock is
+        held across each run of consecutive keys whose walk ends in the
+        same interval. So every counter but the lock traffic is the scalar
+        stream's, and a duplicate raises with exactly the keys before it
+        landed. A split above the lock boundary needs no special case: the
+        next key walks after it.
         """
         lm = self.lock_manager
-        assert lm is not None
-        pending = list(range(len(keys)))
-        while pending:
-            groups: dict[
-                tuple[int, ...], tuple[list[tuple[InnerNode, int]], list[int]]
-            ] = {}
-            for i in pending:
-                ids, upper = self._upper_walk(keys[i])
-                groups.setdefault(ids, (upper, []))[1].append(i)
-            pending.clear()
-            epoch = self._topology_epoch
-            for ids, (upper, idx) in groups.items():
-                with lm.query_lock(ids, self.counters):
-                    lm.assert_interval_locked(ids, where=where)
-                    for n, i in enumerate(idx):
-                        if (
-                            self._topology_epoch != epoch
-                            and self._upper_walk(keys[i])[0] != ids
-                        ):
-                            pending.extend(idx[n:])
-                            break
-                        self.counters.node_hops += len(upper)
-                        self.counters.model_evals += len(upper)
-                        body(i, upper)
+        seq = range(len(keys)) if order is None else order
+        m = len(seq)
+        if lm is None or m == 0:
+            for i in seq:
+                body(i, [])
+            return
+        counters = self.counters
+        n = 0
+        i = seq[0]
+        ids, upper = self._upper_walk(keys[i])
+        while n < m:
+            run = ids
+            with lm.query_lock(run, counters):
+                lm.assert_interval_locked(run, where=where)
+                while True:
+                    counters.node_hops += len(upper)
+                    counters.model_evals += len(upper)
+                    body(i, upper)
+                    n += 1
+                    if n == m:
+                        break
+                    i = seq[n]
+                    ids, upper = self._upper_walk(keys[i])
+                    if ids != run:
+                        break
 
     def _plan_version(self) -> int:
         """Cache key of the fused batch plan: the topology epoch.
@@ -843,22 +825,31 @@ class ChameleonIndex(BaseIndex):
 
     @declared_contract("counter_neutral")
     def peek_batch(self, keys: "Sequence[Key]") -> list[Value | None]:
-        """:meth:`peek` per key, one query lock per touched interval."""
+        """:meth:`peek` per key; under a lock manager, in key order with one
+        (uncounted) query lock per touched interval, as :meth:`lookup_batch`
+        holds them."""
         keys_l = [float(k) for k in keys]
         lm = self.lock_manager
-        if lm is None:
+        m = len(keys_l)
+        if lm is None or m == 0:
             return [self._peek_leaf(k) for k in keys_l]
-        groups: dict[
-            tuple[int, ...], tuple[list[tuple[InnerNode, int]], list[int]]
-        ] = {}
-        for i, k in enumerate(keys_l):
-            ids, upper = self._upper_walk(k)
-            groups.setdefault(ids, (upper, []))[1].append(i)
-        out: list[Value | None] = [None] * len(keys_l)
-        for ids, (upper, idx) in groups.items():
-            with lm.query_lock(ids):
-                for i in idx:
+        out: list[Value | None] = [None] * m
+        seq = sorted(range(m), key=keys_l.__getitem__)
+        n = 0
+        i = seq[0]
+        ids, upper = self._upper_walk(keys_l[i])
+        while n < m:
+            run = ids
+            with lm.query_lock(run):
+                while True:
                     out[i] = self._peek_leaf(keys_l[i], upper)
+                    n += 1
+                    if n == m:
+                        break
+                    i = seq[n]
+                    ids, upper = self._upper_walk(keys_l[i])
+                    if ids != run:
+                        break
         return out
 
     @declared_contract("counter_neutral")
@@ -867,17 +858,6 @@ class ChameleonIndex(BaseIndex):
     ) -> Value | None:
         leaf = self._locate_leaf(key, upper)
         return None if leaf is None else leaf.ebh.peek(key)
-
-    @declared_contract("counter_neutral")
-    def _stores(self, key: float) -> bool:
-        """Whether ``key`` is stored, without counter traffic or locks.
-
-        Certifies lock-path insert batches: only a batch that cannot raise
-        on a duplicate may run interval by interval instead of in stream
-        order.
-        """
-        leaf = self._locate_leaf(key)
-        return leaf is not None and bool((leaf.ebh._keys == key).any())
 
     # -- persistence -----------------------------------------------------------------
 

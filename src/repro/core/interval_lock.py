@@ -31,10 +31,10 @@ from ..robustness import faults
 
 IntervalIds = tuple[int, ...]
 
-#: Environment flag that arms the debug contract layer (ledger, asserts,
-#: race detection). Read at manager construction; ``debug_asserts=True``
-#: overrides per instance so tests and the chaos harness can arm it
-#: without touching the environment.
+#: Environment flag that arms the debug contract layer (asserts and race
+#: detection over one holder table). Read at manager construction;
+#: ``debug_asserts=True`` overrides per instance so tests and the chaos
+#: harness can arm it without touching the environment.
 LOCK_ASSERT_ENV = "REPRO_LOCK_ASSERTS"
 
 
@@ -52,26 +52,6 @@ class LockContractViolation(AssertionError):
     """
 
 
-class _HeldLedger(threading.local):
-    """Thread-local map of interval IDs -> stack of held lock modes."""
-
-    def __init__(self) -> None:
-        self.held: dict[IntervalIds, list[str]] = {}
-
-    def push(self, ids: IntervalIds, mode: str) -> None:
-        self.held.setdefault(ids, []).append(mode)
-
-    def pop(self, ids: IntervalIds, mode: str) -> None:
-        modes = self.held.get(ids)
-        if modes and mode in modes:
-            modes.remove(mode)
-            if not modes:
-                del self.held[ids]
-
-    def modes(self, ids: IntervalIds) -> tuple[str, ...]:
-        return tuple(self.held.get(ids, ()))
-
-
 class RaceDetector:
     """Lockset-style recorder of (thread, interval, mode) lock events.
 
@@ -81,7 +61,9 @@ class RaceDetector:
     is checked against the live holder table, and any overlap the protocol
     forbids — two concurrent retrains on one interval, a query access while
     another thread retrains the same interval — is recorded as a violation.
-    The chaos harness fails a run that ends with a non-empty report.
+    The chaos harness fails a run that ends with a non-empty report. The
+    same table answers which modes a thread holds (:meth:`held`), for
+    :meth:`IntervalLockManager.assert_interval_locked`.
     """
 
     #: Mode pairs (held, incoming) that may overlap on one interval.
@@ -89,7 +71,7 @@ class RaceDetector:
 
     def __init__(self, keep_events: int = 4096) -> None:
         self._mutex = threading.Lock()
-        #: ids -> {thread ident: set of modes held}.
+        #: ids -> {thread ident: modes held, in acquisition order}.
         self._holders: dict[IntervalIds, dict[int, list[str]]] = {}
         self._keep_events = keep_events
         self.events: list[tuple[int, IntervalIds, str, str]] = []
@@ -136,6 +118,11 @@ class RaceDetector:
                         del per_thread[me]
                 if not per_thread:
                     del self._holders[ids]
+
+    def held(self, ids: IntervalIds) -> tuple[str, ...]:
+        """Modes the calling thread holds on ``ids``, in acquisition order."""
+        with self._mutex:
+            return tuple(self._holders.get(ids, {}).get(threading.get_ident(), ()))
 
     def on_access(self, ids: IntervalIds, mode: str, where: str) -> None:
         """An instrumented hot-path access (not a lock transition)."""
@@ -253,12 +240,13 @@ class IntervalLockManager:
     """Registry of per-interval reader/writer locks keyed by IDs paths.
 
     Args:
-        debug_asserts: arm the debug contract layer — a thread-local
-            held-lock ledger, :meth:`assert_interval_locked` guards, and a
-            :class:`RaceDetector`. Defaults to the ``REPRO_LOCK_ASSERTS=1``
-            environment flag; the layer costs a few dict operations per
-            lock transition when armed and a single attribute read when
-            not, so production paths stay at full speed.
+        debug_asserts: arm the debug contract layer — a
+            :class:`RaceDetector` whose holder table also backs the
+            :meth:`assert_interval_locked` guards. Defaults to the
+            ``REPRO_LOCK_ASSERTS=1`` environment flag; the layer costs a
+            few dict operations per lock transition when armed and a
+            single attribute read when not, so production paths stay at
+            full speed.
     """
 
     def __init__(self, debug_asserts: bool | None = None) -> None:
@@ -267,7 +255,6 @@ class IntervalLockManager:
         self._debug = (
             lock_asserts_enabled() if debug_asserts is None else debug_asserts
         )
-        self._ledger = _HeldLedger() if self._debug else None
         self.race_detector = RaceDetector() if self._debug else None
 
     @property
@@ -384,16 +371,12 @@ class IntervalLockManager:
     # -- debug contract layer -------------------------------------------------
 
     def _on_acquired(self, ids: IntervalIds, mode: str) -> None:
-        assert self._ledger is not None
-        self._ledger.push(ids, mode)
-        if self.race_detector is not None:
-            self.race_detector.on_acquire(ids, mode)
+        assert self.race_detector is not None
+        self.race_detector.on_acquire(ids, mode)
 
     def _on_released(self, ids: IntervalIds, mode: str) -> None:
-        assert self._ledger is not None
-        self._ledger.pop(ids, mode)
-        if self.race_detector is not None:
-            self.race_detector.on_release(ids, mode)
+        assert self.race_detector is not None
+        self.race_detector.on_release(ids, mode)
 
     def assert_interval_locked(
         self, ids: IntervalIds, mode: str = "query", where: str = ""
@@ -402,18 +385,18 @@ class IntervalLockManager:
 
         A no-op unless the debug contract layer is armed (see
         ``REPRO_LOCK_ASSERTS``). When armed, the access is recorded with
-        the race detector and checked against the thread-local ledger; a
-        missing hold raises :class:`LockContractViolation`. ``mode``
-        ``"query"`` is satisfied by a retrain hold too — the exclusive
-        lock fences the interval at least as strongly as the shared one.
+        the race detector and checked against the calling thread's entry
+        in its holder table; a missing hold raises
+        :class:`LockContractViolation`. ``mode`` ``"query"`` is satisfied
+        by a retrain hold too — the exclusive lock fences the interval at
+        least as strongly as the shared one.
         """
-        if not self._debug:
+        detector = self.race_detector
+        if detector is None:
             return
         ids = tuple(ids)
-        if self.race_detector is not None:
-            self.race_detector.on_access(ids, mode, where or "access")
-        assert self._ledger is not None
-        held = self._ledger.modes(ids)
+        detector.on_access(ids, mode, where or "access")
+        held = detector.held(ids)
         satisfied = mode in held or (mode == "query" and "retrain" in held)
         if not satisfied:
             raise LockContractViolation(
@@ -427,9 +410,9 @@ class IntervalLockManager:
 
     def held_modes(self, ids: IntervalIds) -> tuple[str, ...]:
         """Lock modes the calling thread holds on ``ids`` (debug only)."""
-        if self._ledger is None:
+        if self.race_detector is None:
             return ()
-        return self._ledger.modes(tuple(ids))
+        return self.race_detector.held(tuple(ids))
 
     def race_report(self) -> list[str]:
         """Protocol-overlap violations recorded so far ([] when disarmed)."""

@@ -16,9 +16,10 @@ harness asserts the two properties that matter under failure:
 
 The run executes with the interval-lock debug contract layer armed
 (``lock_asserts``, default True): every hot-path access is checked against
-the thread-local held-lock ledger — a missing hold raises
-:class:`~repro.core.interval_lock.LockContractViolation` and kills the run
-— and the lockset race detector records every (thread, interval, mode)
+the calling thread's entry in the race detector's holder table — a
+missing hold raises
+:class:`~repro.core.interval_lock.LockContractViolation` and kills the
+run — and the same detector records every (thread, interval, mode)
 event; any query/retrain overlap it reports fails the run via
 ``ChaosReport.lock_protocol_violations``.
 

@@ -22,7 +22,7 @@ from repro.baselines.radix_spline import RadixSplineIndex
 from repro.baselines.sorted_array import SortedArrayIndex
 from repro.core.config import ChameleonConfig
 from repro.core.ebh import ErrorBoundedHash
-from repro.core.index import ChameleonIndex
+from repro.core.index import _FUSED_MIN, ChameleonIndex
 from repro.core.interval_lock import IntervalLockManager
 from repro.core.node import InnerNode, walk_leaves
 from repro.datasets import load as load_dataset
@@ -307,8 +307,6 @@ class TestChameleonBatchEquivalence:
         lies nearer its home — so the leaf fills under ``max_leaf_load=1``
         and its last key is one whose home slot faces the last free slot.
         """
-        from repro.core.index import _FUSED_MIN
-
         keys = load_dataset("UDEN", 2000, seed=3)
         config = ChameleonConfig(max_leaf_load=1.0)
         a = ChameleonIndex(config, strategy="ChaB")
@@ -389,19 +387,25 @@ class TestChameleonBatchEquivalence:
         assert len(a) == len(b)
         assert sorted(a.items()) == sorted(b.items())
 
-    def test_duplicate_in_batch_leaves_exact_scalar_prefix(self):
+    @pytest.mark.parametrize("dup", ["stored", "repeat"])
+    @pytest.mark.parametrize("lock", [False, True], ids=["bare", "locked"])
+    def test_duplicate_in_batch_leaves_exact_scalar_prefix(self, lock, dup):
         """A mid-batch duplicate raises with exactly the preceding keys
         landed — the same state, counters, and exception the scalar loop
-        would leave at the same stream position."""
+        would leave at the same stream position. The duplicate is either
+        a stored key or an in-batch repeat (the second occurrence of a
+        fresh key, whose first occurrence lands). Under a lock manager the
+        prefix comes from stream order; only the lock traffic may differ."""
         from repro.baselines.interfaces import DuplicateKeyError
 
         keys = load_dataset("UDEN", 2000, seed=6)
         rng = np.random.default_rng(23)
         fresh = np.unique(rng.uniform(keys.min(), keys.max(), 200))
-        batch = np.concatenate(
-            [fresh[:120], [float(keys[50])], fresh[120:]]  # dup mid-stream
-        )
-        a, b = _chameleon(keys), _chameleon(keys)
+        if dup == "stored":
+            batch = np.concatenate([fresh[:120], [float(keys[50])], fresh[120:]])
+        else:
+            batch = np.concatenate([fresh[:40], fresh[39:41], fresh[41:60]])
+        a, b = _chameleon(keys, lock), _chameleon(keys, lock)
         before = a.counters.snapshot()
         with pytest.raises(DuplicateKeyError):
             for k in batch.tolist():
@@ -410,23 +414,41 @@ class TestChameleonBatchEquivalence:
         before = b.counters.snapshot()
         with pytest.raises(DuplicateKeyError):
             b.insert_batch(batch)
-        assert b.counters.diff(before) == scalar_delta
+        batch_delta = b.counters.diff(before)
+        if lock:
+            batch_locks = batch_delta.pop("lock_acquisitions")
+            assert 0 < batch_locks <= scalar_delta.pop("lock_acquisitions")
+            batch_delta.pop("lock_waits")
+            scalar_delta.pop("lock_waits")
+            assert b.lock_manager is not None
+            assert b.lock_manager.race_report() == []
+            assert b.lock_manager.stuck_intervals() == []
+        assert batch_delta == scalar_delta
         assert len(a) == len(b)
         assert sorted(a.items()) == sorted(b.items())
-        # An in-batch repeat (second occurrence of a fresh key) aborts
-        # the same way: the first occurrence lands, the repeat raises.
-        a2, b2 = _chameleon(keys), _chameleon(keys)
-        repeat = np.concatenate([fresh[:40], fresh[39:41], fresh[41:60]])
-        before = a2.counters.snapshot()
-        with pytest.raises(DuplicateKeyError):
-            for k in repeat.tolist():
-                a2.insert(k)
-        scalar_delta = a2.counters.diff(before)
-        before = b2.counters.snapshot()
-        with pytest.raises(DuplicateKeyError):
-            b2.insert_batch(repeat)
-        assert b2.counters.diff(before) == scalar_delta
-        assert sorted(a2.items()) == sorted(b2.items())
+
+    @pytest.mark.parametrize("lock", [False, True], ids=["bare", "locked"])
+    def test_none_value_stores_the_key_on_every_write_path(self, lock):
+        """``insert(k, None)`` stores ``k``; so do ``insert_batch`` (plan
+        and stream paths) and ``bulk_load`` given ``None`` values."""
+        keys = load_dataset("UDEN", 2000, seed=6).tolist()
+        vals: list = [None if i % 3 == 0 else f"v{i}" for i in range(len(keys))]
+        a = ChameleonIndex(ChameleonConfig(), strategy="ChaB")
+        a.bulk_load(keys, vals)
+        assert a.peek(keys[0]) == keys[0] and a.peek(keys[1]) == "v1"
+        b = _chameleon(np.asarray(keys), lock)
+        scalar = _chameleon(np.asarray(keys), lock)
+        rng = np.random.default_rng(31)
+        fresh = np.unique(rng.uniform(min(keys), max(keys), 2 * _FUSED_MIN + 7))
+        new_vals: list = [None if i % 2 else i for i in range(fresh.size)]
+        for size in (3, fresh.size - 3):  # stream, then plan when bare
+            chunk, chunk_vals = fresh[:size], new_vals[:size]
+            fresh, new_vals = fresh[size:], new_vals[size:]
+            b.insert_batch(chunk, chunk_vals)
+            for k, v in zip(chunk.tolist(), chunk_vals):
+                scalar.insert(k, v)
+                assert b.peek(k) == (k if v is None else v)
+        assert sorted(b.items()) == sorted(scalar.items())
 
     def test_collision_heavy_batch_rehashes_mid_batch(self):
         """A batch dense enough to breach tau mid-flight triggers the
@@ -531,9 +553,10 @@ class TestChameleonLockPath:
         assert b.lock_manager.race_report() == []
 
     def test_grouped_insert_locks_once_per_interval(self, monkeypatch):
-        """Batch inserts under a lock manager acquire one write lock per
-        touched h-level interval, not one per key — and everything but the
-        lock traffic matches the scalar stream exactly."""
+        """A sorted insert batch under a lock manager acquires one query
+        lock per touched h-level interval, not one per key: Eq. 1 routes
+        in key order, so each interval's keys form one run. Everything but
+        the lock traffic matches the scalar stream exactly."""
         monkeypatch.setenv("REPRO_LOCK_ASSERTS", "1")
         keys = load_dataset("FACE", 2500, seed=7)
         rng = np.random.default_rng(19)
@@ -545,6 +568,7 @@ class TestChameleonLockPath:
             a.insert(k)
         scalar_delta = a.counters.diff(before)
 
+        touched = {b._upper_walk(k)[0] for k in inserts.tolist()}
         before = b.counters.snapshot()
         b.insert_batch(inserts)
         batch_delta = b.counters.diff(before)
@@ -554,18 +578,68 @@ class TestChameleonLockPath:
         scalar_delta.pop("lock_waits", None)
         batch_delta.pop("lock_waits", None)
         assert batch_delta == scalar_delta
-        # Scalar: one acquisition per key. Grouped: one per interval.
+        assert batch_delta["splits"] == 0  # so the touched set is fixed
+        # Scalar: one acquisition per key. Sorted batch: one per interval.
         assert scalar_locks == inserts.size
-        assert 0 < batch_locks < scalar_locks
+        assert batch_locks == len(touched) < scalar_locks
         assert sorted(a.items()) == sorted(b.items())
         assert b.lock_manager is not None
         assert b.lock_manager.race_report() == []
 
-    def test_split_above_lock_boundary_regroups_the_rest(self):
+    def test_locked_batches_lock_once_per_run(self):
+        """Random-order locked write batches take exactly one query lock per
+        run of consecutive keys whose upper walk ends in the same interval —
+        never more than one per key. Read-only batches visit keys in key
+        order, so ``lookup_batch`` and ``peek_batch`` (whose holds are
+        uncounted, so they are read off the race detector) take one per
+        touched interval even when a hot key repeats far apart."""
+        keys = load_dataset("FACE", 3000, seed=4)
+        rng = np.random.default_rng(8)
+        ix = _chameleon(keys, lock=True)
+        lm = ix.lock_manager
+        assert lm is not None and lm.race_detector is not None
+
+        def runs(batch: np.ndarray) -> int:
+            ids = [ix._upper_walk(k)[0] for k in batch.tolist()]
+            return 1 + sum(x != y for x, y in zip(ids, ids[1:]))
+
+        def touched(batch: np.ndarray) -> int:
+            return len({ix._upper_walk(k)[0] for k in batch.tolist()})
+
+        # A narrow band of the key range, so runs of several keys occur.
+        lo = float(np.quantile(keys, 0.4))
+        hi = float(np.quantile(keys, 0.45))
+        band = keys[(keys >= lo) & (keys <= hi)]
+        hot = np.repeat(band[:3], 10)
+        lookups = rng.permutation(np.concatenate([band, rng.uniform(lo, hi, 40), hot]))
+        inserts = rng.permutation(np.unique(rng.uniform(lo, hi, 80)))
+        deletes = rng.permutation(band[::2])
+        ops = [
+            (ix.lookup_batch, lookups, touched),
+            (ix.insert_batch, inserts, runs),
+            (ix.delete_batch, deletes, runs),
+        ]
+        for op, batch, locks in ops:
+            want = locks(batch)
+            assert want < batch.size  # the band really has runs
+            before = ix.counters.lock_acquisitions
+            op(batch)
+            assert ix.counters.lock_acquisitions - before == want
+            lm.race_detector.events.clear()
+            ix.peek_batch(batch.tolist())
+            acquires = [e for e in lm.race_detector.events if e[3] == "acquire"]
+            assert len(acquires) == touched(batch)
+        assert touched(lookups) < runs(lookups)
+        assert ix.counters.splits == 0
+        assert lm.race_report() == []
+        assert ix.verify_integrity().ok
+
+    def test_split_above_lock_boundary_moves_later_keys_deeper(self):
         """A root slot with no bulk-loaded keys holds a leaf above the lock
         boundary; when a batch splits it, the keys behind the split belong
-        to deeper intervals. They must run under those intervals' locks and
-        be charged the longer upper walk, as the scalar stream does."""
+        to deeper intervals. Each key walks just before it runs, so they
+        run under those intervals' locks and are charged the longer upper
+        walk, as the scalar stream does — nothing needs regrouping."""
         rng = np.random.default_rng(0)
         keys = np.unique(
             np.concatenate([rng.uniform(0, 1e6, 600), rng.uniform(9e6, 1e7, 600)])

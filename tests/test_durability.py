@@ -493,6 +493,32 @@ def test_wal_neutrality_batch_writes_counters_bit_identical(tmp_path):
     assert sorted(index.items()) == sorted(plain.items())
 
 
+def test_none_valued_batch_key_is_present_to_the_next_batch(tmp_path):
+    """A ``None`` value stores the key on every write path, so the durable
+    pre-check sees a ``None``-valued batch key as present: the next batch
+    that repeats it falls back to the per-op loop, raises before landing
+    anything, and rolls back nothing it did not place. Live == recovered."""
+    from repro.baselines.interfaces import DuplicateKeyError
+
+    keys = sorted({float(k) for k in face_like(1000, seed=6)})
+    a, b, c = ((x + y) / 2.0 for x, y in zip(keys[10:13], keys[11:14]))
+    manager = IntervalLockManager(debug_asserts=True)
+    index = ChameleonIndex(strategy="ChaB", lock_manager=manager)
+    durable = DurableIndex(index, tmp_path, fsync="none")
+    durable.bulk_load(keys)
+    durable.insert_batch([a, b], [None, "x"])
+    assert durable.lookup(a) == a
+    with pytest.raises(DuplicateKeyError):
+        durable.insert_batch([a, c], ["y", "z"])
+    assert durable.lookup(a) == a and durable.lookup(c) is None
+    assert len(durable.index) == len(keys) + 2
+    live = dict(durable.items())
+    durable.close()
+    recovered, _ = RecoveryManager(tmp_path, lambda: ChameleonIndex(strategy="ChaB")).recover()
+    assert dict(recovered.items()) == live
+    assert manager.race_report() == []
+
+
 def test_batch_append_failure_rolls_back_whole_batch(tmp_path):
     """A failed bulk append compensates the *entire* batch before raising:
     memory returns to the pre-batch state and the log gains no record."""

@@ -5,9 +5,10 @@ find its interval, takes the query lock, and continues below the lock
 boundary from that walk — so a locked op's path is walked, and charged,
 once. A seeded random program of scalar and batch lookups, inserts and
 deletes runs on a bare index (whose larger batches take the fused plan)
-and on a twin under an armed lock manager (whose batches run one query
-lock per interval). Results must match after every step, and so must
-every ``Counters`` field but the lock traffic.
+and on a twin under an armed lock manager (whose batches run the scalar
+bodies, writes in batch order and lookups in key order, one query lock per
+run of consecutive keys in the same interval). Results must match after every step, and so must every
+``Counters`` field but the lock traffic.
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ and deletes, the three batch ops (from single keys up to three times the
 fused threshold, deletes with repeated keys among them), subtree swaps
 and whole-tree rebuilds — so the cached fused plan lives across scalar
 writes, rehashes, splits and topology changes, and small batches take the
-scalar dispatch. A scalar-only twin replays every step one key at a time,
+stream executor. A scalar-only twin replays every step one key at a time,
 and a dict oracle holds the expected contents. After every step the
 results match the oracle and the structural counters match the twin's
 bit for bit (lock counters aside, as in test_batch_ops.py); at teardown
@@ -13,9 +13,10 @@ both trees pass ``verify_integrity``.
 
 The same rules run twice: on bare indexes, where batches take the fused
 plan, and on indexes under an armed ``IntervalLockManager``, where they
-run the scalar bodies under one query lock per interval. There the batch
-index may take fewer locks than its twin, never more, and the race
-detector must stay silent.
+run the scalar bodies (writes in batch order, lookups in key order)
+under one query lock per run of consecutive keys in the same interval. There the batch index may take
+fewer locks than its twin, never more, and the race detector must stay
+silent.
 """
 
 import numpy as np
