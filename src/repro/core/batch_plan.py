@@ -32,16 +32,20 @@ vector with a few full-vector operations:
 
 The plan is a cache, not part of the structure: it is rebuilt lazily
 whenever the index's topology epoch moves (bulk load, full rebuild,
-subtree swap, leaf split — see :meth:`ChameleonIndex._plan_version`).
-Everything else leaves the plan valid. Writes, scalar or batched, land in
-the leaves' views of the plan store; a leaf whose storage a rehash
-replaced is marked *detached* and served by the scalar per-leaf logic
-until the next rebuild; keys that reach a missing (``None``) child take
-the scalar per-key walk, which re-reads the live pointer and materialises
-the empty leaf exactly as :meth:`ChameleonIndex._descend_lower` would. The
-per-leaf state the fused probes depend on (``n_keys``, conflict degree,
-detached or not) is re-read before each fused op for exactly the leaves
-written outside the plan since its last op (see
+subtree swap, leaf split, reclaim — see
+:meth:`ChameleonIndex._plan_version`). Everything else leaves the plan
+valid. Writes, scalar or batched, land in the leaves' views of the plan
+store; a leaf whose storage a rehash replaced is marked *detached* and
+served by the scalar per-leaf logic until the next rebuild; keys that
+reach a missing (``None``) child take the scalar per-key walk, which
+re-reads the live pointer: a leaf an insert has made there since is
+served, a hole still empty answers "absent" to a lookup or delete, and
+only an insert makes a leaf in it, exactly as the scalar ops do. A delete
+that empties a non-root leaf turns its slot back into a hole (the fused
+delete does so for every leaf its batch empties), which moves the epoch.
+The per-leaf state the fused probes depend on (``n_keys``, conflict
+degree, detached or not) is re-read before each fused op for exactly the
+leaves written outside the plan since its last op (see
 :meth:`BatchQueryPlan.sync_leaves`). Only the index's current plan may
 execute writes — building a new plan rebinds the leaves' storage onto the
 new store.
@@ -314,19 +318,24 @@ class BatchQueryPlan:
                 self._probe_leaves(index, karr, sel, lids, out)
         for i in np.flatnonzero(cur == _HOLE).tolist():
             # The plan recorded no leaf here when it was built. The scalar
-            # walk below the slot re-reads the live pointer: a scalar walk
-            # (or a retrainer swap) may have filled it since, otherwise it
-            # materialises the empty leaf exactly as the scalar descent
-            # does. Counting stays exact — the fused loop already charged
-            # the hops down to this node.
+            # walk below the slot re-reads the live pointer: an insert (or
+            # a retrainer swap) may have filled it since; a slot still
+            # empty answers "absent". Counting stays exact — the fused
+            # loop already charged the hops down to this node.
             k = float(karr[i])
             leaf, _ = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
-            out[i] = leaf.ebh.lookup(k)
+            if leaf is not None:
+                out[i] = leaf.ebh.lookup(k)
         return out
 
     def _slot(self, parent: Any, rank: Any) -> list[tuple[InnerNode, int]]:
         """The one-slot upper path that resumes a scalar walk below ``parent``."""
         return [(self.inners[int(parent)], int(rank))]
+
+    def _leaf_path(self, lid: int) -> list[tuple[InnerNode, int]]:
+        """The one-slot path to plan leaf ``lid``'s slot (``[]``: the root)."""
+        p = int(self.leaf_parent[lid])
+        return [] if p < 0 else self._slot(p, self.leaf_rank[lid])
 
     def _probe_leaves(
         self,
@@ -716,14 +725,8 @@ class BatchQueryPlan:
                         del n_d[lid], base_n[lid]
                         hops += depth_l[j]
                         evals += depth_l[j]
-                        p = int(self.leaf_parent[lid])
-                        path = (
-                            []
-                            if p < 0
-                            else [(self.inners[p], int(self.leaf_rank[lid]))]
-                        )
                         _, split_done, rehash_done = index._insert_at_leaf(
-                            key, value, leaves[lid], path
+                            key, value, leaves[lid], self._leaf_path(lid)
                         )
                         if split_done:
                             blocked.add(lid)
@@ -779,9 +782,12 @@ class BatchQueryPlan:
         key's slot; the hits are cleared with one vector store. Deletes
         never trigger maintenance and never change the conflict degree,
         so the whole batch fuses — only detached leaves and plan holes
-        run the scalar continuation. Counter totals match the scalar
-        stream exactly (the closed-form probe counts of the outward
-        scan); flags are positionally aligned with ``karr``.
+        run the scalar continuation. A leaf the batch empties is reclaimed
+        (its slot becomes a hole), as the scalar stream reclaims it at its
+        last hit; a later key of the batch that misses there is charged as
+        a hole miss, its hops only. Counter totals match the scalar stream
+        exactly (the closed-form probe counts of the outward scan); flags
+        are positionally aligned with ``karr``.
         """
         counters = index.counters
         m = int(karr.size)
@@ -797,14 +803,16 @@ class BatchQueryPlan:
                 det = self.leaf_detached[lids]
                 if det.any():
                     for i, lid in zip(sel[det].tolist(), lids[det].tolist()):
+                        # Re-read the leaf's slot: an earlier key of the
+                        # batch may have emptied and reclaimed it.
                         k = float(karr[i])
-                        out[i] = index._delete_at_leaf(self.leaves[lid], k) is not ABSENT
+                        path = self._leaf_path(lid)
+                        leaf = index._descend_lower(k, path)[0] if path else self.leaves[lid]
+                        out[i] = index._delete_at_leaf(k, leaf, path) is not ABSENT
                     keep = ~det
                     sel = sel[keep]
                     lids = lids[keep]
             if sel.size:
-                r = int(sel.size)
-                counters.model_evals += r
                 found, abs_slot, match_off, match_minus, _, limits, caps, _ = (
                     self._raw_locate(karr, sel, lids)
                 )
@@ -816,7 +824,6 @@ class BatchQueryPlan:
                     ),
                     miss_probes,
                 )
-                counters.slot_probes += int(probes.sum())
                 if found.any():
                     hit_slots = abs_slot[found]
                     self.store_keys[hit_slots] = np.nan
@@ -839,10 +846,26 @@ class BatchQueryPlan:
                     removed = int(found.sum())
                     index._n -= removed
                     index.updates_since_build += removed
+                    emptied = hit_lids[
+                        (self.leaf_n[hit_lids] == 0) & (self.leaf_parent[hit_lids] >= 0)
+                    ]
+                    if emptied.size:
+                        # Batch position of each emptied leaf's last hit
+                        # (``m``: not emptied); keys after it meet a hole.
+                        gone_at = np.full(len(leaves), m, dtype=np.int64)
+                        gone_at[emptied] = -1
+                        np.maximum.at(gone_at, lids[found], sel[found])
+                        live = sel <= gone_at[lids]
+                        sel = sel[live]
+                        probes = probes[live]
+                        for lid in emptied.tolist():
+                            index._reclaim(self._leaf_path(lid)[0])
+                counters.model_evals += int(sel.size)
+                counters.slot_probes += int(probes.sum())
             for i in np.flatnonzero(cur == _HOLE).tolist():
                 k = float(karr[i])
-                leaf, _ = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
-                out[i] = index._delete_at_leaf(leaf, k) is not ABSENT
+                leaf, path = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
+                out[i] = index._delete_at_leaf(k, leaf, path) is not ABSENT
             return out.tolist()
 
 

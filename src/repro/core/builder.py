@@ -152,7 +152,7 @@ def build_greedy(
         partition_by_rank(keys, values, low, high, fanout)
     ):
         if len(child_keys) == 0:
-            continue  # lazily materialised on first touch
+            continue  # a hole: the first insert into it makes the leaf
         c_low, c_high = node.child_interval(rank)
         node.children[rank] = build_greedy(
             child_keys, child_values, c_low, c_high, config, counters,
@@ -197,8 +197,8 @@ def build_from_genes(
             )
             for rank, (child_keys, child_values) in enumerate(parts):
                 if len(child_keys) == 0:
-                    # Empty intervals stay None: ChameleonIndex materialises
-                    # a minimum leaf lazily on first touch, so a huge root
+                    # Empty intervals stay None: ChameleonIndex makes a
+                    # minimum leaf there on the first insert, so a huge root
                     # fanout does not eagerly allocate millions of leaves.
                     continue
                 c_low, c_high = node.child_interval(rank)
@@ -260,7 +260,7 @@ def refine_with_tsmdp(
     node = InnerNode(low, high, fanout, counters)
     for rank, (child_keys, child_values) in enumerate(parts):
         if len(child_keys) == 0:
-            continue  # lazily materialised on first touch
+            continue  # a hole: the first insert into it makes the leaf
         c_low, c_high = node.child_interval(rank)
         node.children[rank] = refine_with_tsmdp(
             child_keys, child_values, c_low, c_high, agent, config, counters,

@@ -91,7 +91,7 @@ class ChameleonIndex(BaseIndex):
         #: rebuilt when the topology epoch moves (see :meth:`_plan_version`).
         self._batch_plan: BatchQueryPlan | None = None
         #: Bumped whenever nodes are added, removed, or re-hung: bulk load,
-        #: full rebuild, a subtree swap, and a leaf split.
+        #: full rebuild, a subtree swap, a leaf split, and a reclaim.
         self._topology_epoch = 0
         #: Leaves written outside the plan executors while a plan exists;
         #: the plan re-reads their state before its next op. Every write
@@ -140,7 +140,7 @@ class ChameleonIndex(BaseIndex):
                     obs_metrics.ACTIVE.observe(
                         "chameleon_descent_depth_levels", len(path)
                     )
-                return leaf.ebh.lookup(key_f)
+                return None if leaf is None else leaf.ebh.lookup(key_f)
             # Faithful protocol: descend the (immutable) upper h-1 levels
             # once, acquire the interval's query lock, then continue below
             # the lock boundary — the retrainer may only swap subtrees
@@ -153,7 +153,7 @@ class ChameleonIndex(BaseIndex):
                     obs_metrics.ACTIVE.observe(
                         "chameleon_descent_depth_levels", len(full_path)
                     )
-                return leaf.ebh.lookup(key_f)
+                return None if leaf is None else leaf.ebh.lookup(key_f)
 
     def insert(self, key: Key, value: Value | None = None) -> None:
         if self._root is None:
@@ -193,18 +193,21 @@ class ChameleonIndex(BaseIndex):
         self,
         key: Key,
         value: Value,
-        leaf: LeafNode,
+        leaf: LeafNode | None,
         path: list[tuple[InnerNode, int]],
     ) -> tuple[LeafNode, bool, bool]:
         """Post-descent half of the scalar insert (shared with batch paths).
 
         Runs the load-trigger maintenance and the EBH insert for a key whose
-        descent has already been counted. ``path`` only needs the final
-        ``(parent, rank)`` slot (what :meth:`_split_leaf` consumes); a
-        successful split re-descends from the root exactly as the scalar
-        stream does. Returns ``(landed_leaf, split, rehashed)`` so batch
-        executors can invalidate their plan state.
+        descent has already been counted; a ``None`` leaf is the hole at
+        ``path[-1]``, which gets an empty leaf first. ``path`` only needs
+        the final ``(parent, rank)`` slot (what :meth:`_split_leaf`
+        consumes); a successful split re-descends from the root exactly as
+        the scalar stream does. Returns ``(landed_leaf, split, rehashed)``
+        so batch executors can invalidate their plan state.
         """
+        if leaf is None:
+            leaf = self._fill_hole(path)
         if self._batch_plan is not None:
             self._written_leaves.add(leaf)
         ebh = leaf.ebh
@@ -220,6 +223,8 @@ class ChameleonIndex(BaseIndex):
                 if self._split_leaf(leaf, path):
                     split_done = True
                     leaf, path = self._descend_lower(key, ())
+                    if leaf is None:
+                        leaf = self._fill_hole(path)
                     ebh = leaf.ebh
             if (ebh.n_keys + 1) / ebh.capacity > self.config.max_leaf_load:
                 # Fault point before the rehash: raising here leaves the
@@ -264,20 +269,28 @@ class ChameleonIndex(BaseIndex):
     def _delete_op(self, key_f: float) -> Value:
         with obs_trace.span("index.delete"):
             if self.lock_manager is None:
-                return self._delete_at_leaf(self._descend_lower(key_f, ())[0], key_f)
+                leaf, path = self._descend_lower(key_f, ())
+                return self._delete_at_leaf(key_f, leaf, path)
             ids, upper = self._descend_upper(key_f)
             with self.lock_manager.query_lock(ids, self.counters):
                 self.lock_manager.assert_interval_locked(ids, where="delete")
-                leaf, _ = self._descend_lower(key_f, upper)
-                return self._delete_at_leaf(leaf, key_f)
+                leaf, path = self._descend_lower(key_f, upper)
+                return self._delete_at_leaf(key_f, leaf, path)
 
-    def _delete_at_leaf(self, leaf: LeafNode, key: Key) -> Value:
+    def _delete_at_leaf(
+        self, key: Key, leaf: LeafNode | None, path: list[tuple[InnerNode, int]]
+    ) -> Value:
         """Post-descent half of the scalar delete (shared with the plan).
 
         Returns the removed value, or
-        :data:`~repro.baselines.interfaces.ABSENT`.
+        :data:`~repro.baselines.interfaces.ABSENT` — at once for a hole
+        (``leaf`` None). A delete that empties a non-root leaf hands its
+        slot ``path[-1]`` back as a hole, so churn leaves no empty leaves.
         """
-        value = leaf.ebh.pop(key, ABSENT)
+        if leaf is None:
+            return ABSENT
+        ebh = leaf.ebh
+        value = ebh.pop(key, ABSENT)
         if value is not ABSENT:
             leaf.update_count += 1
             if self._drift is not None:
@@ -286,7 +299,15 @@ class ChameleonIndex(BaseIndex):
             self.updates_since_build += 1
             if self._batch_plan is not None:
                 self._written_leaves.add(leaf)
+            if not ebh.n_keys and path:
+                self._reclaim(path[-1])
         return value
+
+    def _reclaim(self, slot: tuple[InnerNode, int]) -> None:
+        """Turn an emptied leaf's parent slot back into a hole."""
+        parent, rank = slot
+        parent.children[rank] = None
+        self._topology_epoch += 1
 
     # -- batch operations --------------------------------------------------------------
 
@@ -310,7 +331,9 @@ class ChameleonIndex(BaseIndex):
             out: list[Value | None] = [None] * m
 
             def lookup(i: int, upper: list[tuple[InnerNode, int]]) -> None:
-                out[i] = self._descend_lower(keys_l[i], upper)[0].ebh.lookup(keys_l[i])
+                leaf = self._descend_lower(keys_l[i], upper)[0]
+                if leaf is not None:
+                    out[i] = leaf.ebh.lookup(keys_l[i])
 
             # Lookups change no key, so key order gives the scalar loop's
             # results and counters, and one run per touched interval.
@@ -389,7 +412,8 @@ class ChameleonIndex(BaseIndex):
 
             def delete(i: int, upper: list[tuple[InnerNode, int]]) -> None:
                 k = keys_l[i]
-                out[i] = self._delete_at_leaf(self._descend_lower(k, upper)[0], k) is not ABSENT
+                leaf, path = self._descend_lower(k, upper)
+                out[i] = self._delete_at_leaf(k, leaf, path) is not ABSENT
 
             self._stream(keys_l, delete, "delete_batch")
             return out
@@ -448,12 +472,14 @@ class ChameleonIndex(BaseIndex):
 
         The plan flattens which nodes exist and where they hang, so only
         the events that change that shape move the key — ``bulk_load``,
-        ``rebuild_all``, a ``rebuild_subtree`` swap, and a leaf split.
-        Writes between batches keep the plan: they land in the leaves'
-        views of the plan store, a rehashed leaf is served as *detached*,
-        a child materialised from ``None`` takes the plan's hole path, and
-        the plan re-reads the state of the leaves written outside it
-        before its next fused op (see :mod:`repro.core.batch_plan`).
+        ``rebuild_all``, a ``rebuild_subtree`` swap, a leaf split, and a
+        reclaim (a delete or rebuild that turns an emptied slot back into
+        a hole). Writes between batches keep the plan: they land in the
+        leaves' views of the plan store, a rehashed leaf is served as
+        *detached*, a leaf an insert made in a hole takes the plan's hole
+        path, and the plan re-reads the state of the leaves written
+        outside it before its next fused op (see
+        :mod:`repro.core.batch_plan`).
         """
         return self._topology_epoch
 
@@ -646,11 +672,13 @@ class ChameleonIndex(BaseIndex):
 
         The rebuilt candidate replaces the old subtree only when its
         modelled cost is no worse — refinement must never regress the
-        structure it tends. Returns the number of keys retrained (0 when
-        the candidate was discarded). The caller must hold the interval's
-        retraining lock; passing the interval's ``ids`` lets the debug
-        contract layer (``REPRO_LOCK_ASSERTS=1``) verify that before the
-        swap instead of trusting it.
+        structure it tends. A subtree that holds no key becomes a hole
+        and counts no retrain. Returns the number of keys retrained (0
+        when the candidate was discarded or the slot became a hole). The
+        caller must hold the interval's retraining lock; passing the
+        interval's ``ids`` lets the debug contract layer
+        (``REPRO_LOCK_ASSERTS=1``) verify that before the swap instead of
+        trusting it.
         """
         from .costs import measured_structure_cost
 
@@ -675,6 +703,10 @@ class ChameleonIndex(BaseIndex):
             pairs = sorted(
                 pair for leaf in walk_leaves(child) for pair in leaf.items()
             )
+            if not pairs:
+                self._reclaim((parent, rank))
+                sp.put("retrained_keys", 0)
+                return 0
             low, high = parent.child_interval(rank)
             keys = np.asarray([p[0] for p in pairs], dtype=np.float64)
             values = [p[1] for p in pairs]
@@ -792,7 +824,7 @@ class ChameleonIndex(BaseIndex):
     def _locate_leaf(
         self, key: float, upper: Sequence[tuple[InnerNode, int]] = ()
     ) -> LeafNode | None:
-        """Pure Eq. 1 descent — no lock, no materialisation, no counters.
+        """Pure Eq. 1 descent — no lock, no counters.
 
         Starts at the root, or, given ``upper`` (an :meth:`_upper_walk`
         path), at its last ``(parent, rank)`` slot, re-read here because a
@@ -812,9 +844,11 @@ class ChameleonIndex(BaseIndex):
         """:meth:`lookup` without counters, SLO samples, metrics or spans.
 
         Under a lock manager the walk below the lock boundary holds the
-        interval's query lock (uncounted), so a concurrent writer's rehash
-        is never read half-done; it continues from the boundary slot the
-        upper walk reached, as every locked op does.
+        interval's query lock (uncounted), so a retrainer cannot swap the
+        subtree mid-walk; it continues from the boundary slot the upper
+        walk reached, as every locked op does. Writers share that lock, so
+        it does not fence off a concurrent writer: the index serves one
+        writer at a time (see :mod:`repro.core.interval_lock`).
         """
         key_f = float(key)
         if self.lock_manager is None:
@@ -957,39 +991,36 @@ class ChameleonIndex(BaseIndex):
 
     def _descend_lower(
         self, key: Key, upper_path: Sequence[tuple[InnerNode, int]]
-    ) -> tuple[LeafNode, list[tuple[InnerNode, int]]]:
+    ) -> tuple[LeafNode | None, list[tuple[InnerNode, int]]]:
         """Continue from the lock boundary to the leaf (under the lock).
 
         Re-reads the boundary child pointer, because the retrainer may have
         swapped the subtree between the upper walk and lock acquisition.
         An empty ``upper_path`` walks (and charges) the whole path from the
-        root, as every write without a lock manager does.
+        root, as every write without a lock manager does. A hole (a
+        ``None`` child) ends the walk with no leaf; ``path[-1]`` is then
+        its slot, where only an insert makes a leaf (:meth:`_fill_hole`).
         """
         path = list(upper_path)
         if path:
             parent, rank = path[-1]
             node: Node | None = parent.children[rank]
-            if node is None:
-                low, high = parent.child_interval(rank)
-                node = make_leaf(
-                    np.empty(0), [], low, high, self.config, self.counters
-                )
-                parent.children[rank] = node
         else:
             node = self._root
         while isinstance(node, InnerNode):
             self.counters.node_hops += 1
             rank = node.route(key)
             path.append((node, rank))
-            child = node.children[rank]
-            if child is None:
-                low, high = node.child_interval(rank)
-                child = make_leaf(
-                    np.empty(0), [], low, high, self.config, self.counters
-                )
-                node.children[rank] = child
-            node = child
+            node = node.children[rank]
         return node, path
+
+    def _fill_hole(self, path: list[tuple[InnerNode, int]]) -> LeafNode:
+        """Hang an empty leaf in the hole at ``path[-1]`` (inserts only)."""
+        parent, rank = path[-1]
+        low, high = parent.child_interval(rank)
+        leaf = make_leaf(np.empty(0), [], low, high, self.config, self.counters)
+        parent.children[rank] = leaf
+        return leaf
 
     def _split_leaf(
         self, leaf: LeafNode, path: list[tuple[InnerNode, int]]

@@ -4,7 +4,9 @@
 key exactly as a walk of ``InnerNode.raw_route`` calls does, holes and
 out-of-range keys included. Locked ``peek``/``peek_batch`` continue below
 the boundary slot that walk reached; they must read what a bare descent
-from the root reads, move no counter, and materialise nothing.
+from the root reads, move no counter, and materialise nothing. Lookups,
+deletes and pops that meet a hole answer "absent" too, charge only the
+hops down to it, and materialise nothing either.
 """
 
 from __future__ import annotations
@@ -134,6 +136,22 @@ class TestLockedPeeks:
         assert parent.children[rank] is None
         assert sum(1 for _ in walk_leaves(index._root)) == n_leaves
         assert index.counters.snapshot() == before
+        # Scalar and batch reads and deletes, into both kinds of hole.
+        for hole in (hollow, None):
+            parent.children[rank] = hole
+            keys = [key, low, high - 1e-9]
+            n = len(index)
+            probes = index.counters.slot_probes
+            assert [index.lookup(k) for k in keys] == [None] * 3
+            assert index.lookup_batch(keys) == [None] * 3
+            assert [index.delete(k) for k in keys] == [False] * 3
+            assert index.delete_batch(keys) == [False] * 3
+            assert [index.pop(k, "gone") for k in keys] == ["gone"] * 3
+            assert parent.children[rank] is hole
+            assert hole is None or hole.children == [None] * 4
+            assert sum(1 for _ in walk_leaves(index._root)) == n_leaves
+            assert len(index) == n
+            assert index.counters.slot_probes == probes
 
     def test_unlocked_peeks_unchanged(self):
         index = make_index(3, locked=False)

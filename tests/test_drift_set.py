@@ -241,6 +241,26 @@ def test_writer_racing_a_live_retrainer_leaves_nothing_drifted():
     assert index.verify_integrity().ok
 
 
+@pytest.mark.parametrize("locked", [False, True])
+def test_reclaimed_leaf_mark_leaves_at_the_next_sweep(locked):
+    """A delete that empties a leaf hands its slot back as a hole; the
+    leaf's mark resolves to the interval now covering its span, whose
+    remaining update counters are zero, so the sweep drops the mark and
+    rebuilds nothing, even at threshold 1."""
+    index, manager = _index(locked)
+    index.bulk_load(face_like(3000, seed=4))
+    retrainer = RetrainingThread(index, manager, update_threshold=1)
+    leaf = next(leaf for leaf in _leaves(index) if leaf.n_keys)
+    for k in [k for k, _ in leaf.items()]:
+        assert index.delete(k)
+    assert leaf in index._drift
+    assert all(other is not leaf for other in _leaves(index))
+    assert retrainer.sweep_once() == 0
+    assert not index._drift
+    assert index.counters.retrains == 0
+    assert index.verify_integrity().ok
+
+
 class TestTracking:
     def test_untracked_index_records_nothing(self):
         index = ChameleonIndex(strategy="ChaB")

@@ -239,6 +239,32 @@ class TestRebuildSubtree:
             )
 
 
+    def test_keyless_subtree_becomes_a_hole(self, skewed_keys):
+        """A leaf slot holding no key, and an inner node of holes: the
+        rebuild hangs no fresh empty leaf, counts no retrain, and moves the
+        topology epoch (the node it drops may be in the batch plan)."""
+        from repro.core.node import InnerNode, LeafNode
+
+        index = build(skewed_keys[:2000], strategy="ChaB")
+        (_, p1, r1), (_, p2, r2) = index.h_level_entries()[:2]
+        leaf = p1.children[r1]
+        assert isinstance(leaf, LeafNode)
+        for k, _ in list(leaf.items()):
+            leaf.ebh.pop(k)  # emptied without a reclaim, as old snapshots hold it
+            index._n -= 1
+        low, high = p2.child_interval(r2)
+        lost = p2.children[r2].n_keys
+        p2.children[r2] = InnerNode(low, high, 4, index.counters)
+        index._n -= lost
+        for parent, rank in ((p1, r1), (p2, r2)):
+            epoch = index._topology_epoch
+            assert index.rebuild_subtree(parent, rank) == 0
+            assert parent.children[rank] is None
+            assert index._topology_epoch == epoch + 1
+        assert index.counters.retrains == 0
+        assert index.verify_integrity().ok
+
+
 class TestWithLockManager:
     def test_operations_work_under_lock_manager(self, moderate_keys):
         manager = IntervalLockManager()

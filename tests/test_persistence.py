@@ -14,6 +14,7 @@ from repro.baselines import (
 from repro.baselines.btree import BPlusTreeIndex
 from repro.baselines.interfaces import INDEX_FORMAT_VERSION, INDEX_MAGIC
 from repro.core import ChameleonIndex, IntervalLockManager
+from repro.core.node import walk_leaves
 from repro.datasets import face_like
 
 
@@ -66,6 +67,53 @@ def test_restored_index_accepts_updates(name, tmp_path):
         restored.insert(float(k))
     for k in keys[::17]:
         assert restored.lookup(float(k)) == k
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_snapshot_with_empty_leaves_loads_and_serves(tmp_path, batch):
+    """Before deletes reclaimed emptied leaves, snapshots kept them. Such a
+    snapshot loads and serves: reads and deletes of the cleared keys miss,
+    re-inserted keys land in the empty leaves, and deleting them again
+    reclaims those leaves as holes."""
+    keys = [float(k) for k in face_like(3000, seed=8)]
+    index = ChameleonIndex(strategy="ChaB")
+    index.bulk_load(keys)
+    cleared: list[float] = []
+    for leaf in [leaf for leaf in walk_leaves(index._root) if leaf.n_keys][:6]:
+        for k, _ in list(leaf.items()):
+            leaf.ebh.pop(k)  # a leaf as the old delete path left it
+            index._n -= 1
+            cleared.append(k)
+    path = tmp_path / "old.idx"
+    index.save(path)
+    restored = ChameleonIndex.load(path)
+
+    def empty_leaves() -> int:
+        return sum(1 for leaf in walk_leaves(restored._root) if not leaf.n_keys)
+
+    assert empty_leaves() == 6
+    assert restored.verify_integrity().ok
+    kept = [k for k in keys[::7] if k not in set(cleared)]
+    n_leaves = sum(1 for _ in walk_leaves(restored._root))
+    if batch:
+        assert restored.lookup_batch(cleared + kept) == [None] * len(cleared) + kept
+        assert restored.delete_batch(cleared) == [False] * len(cleared)
+        restored.insert_batch(cleared)
+        assert restored.lookup_batch(cleared) == cleared
+        assert empty_leaves() == 0
+        assert restored.delete_batch(cleared) == [True] * len(cleared)
+    else:
+        assert [restored.lookup(k) for k in cleared + kept] == [None] * len(cleared) + kept
+        assert not any(restored.delete(k) for k in cleared)
+        for k in cleared:
+            restored.insert(k)
+        assert [restored.lookup(k) for k in cleared] == cleared
+        assert empty_leaves() == 0
+        assert all(restored.delete(k) for k in cleared)
+    assert empty_leaves() == 0
+    assert sum(1 for _ in walk_leaves(restored._root)) == n_leaves - 6
+    assert len(restored) == len(keys) - len(cleared)
+    assert restored.verify_integrity().ok
 
 
 def test_load_rejects_short_file(tmp_path):

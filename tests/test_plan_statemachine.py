@@ -5,11 +5,15 @@ and deletes, the three batch ops (from single keys up to three times the
 fused threshold, deletes with repeated keys among them), subtree swaps
 and whole-tree rebuilds — so the cached fused plan lives across scalar
 writes, rehashes, splits and topology changes, and small batches take the
-stream executor. A scalar-only twin replays every step one key at a time,
-and a dict oracle holds the expected contents. After every step the
-results match the oracle and the structural counters match the twin's
-bit for bit (lock counters aside, as in test_batch_ops.py); at teardown
-both trees pass ``verify_integrity``.
+stream executor. Window deletes clear runs of neighbouring keys, so
+leaves empty and are reclaimed as holes (with misses in the same batch
+after the emptying hit), and refills insert into those holes again. A
+scalar-only twin replays every step one key at a time, and a dict oracle
+holds the expected contents. After every step the results match the
+oracle, the structural counters match the twin's bit for bit (lock
+counters aside, as in test_batch_ops.py), and no non-root leaf is empty;
+reads and absent deletes change neither tree's size. At teardown both
+trees pass ``verify_integrity``.
 
 The same rules run twice: on bare indexes, where batches take the fused
 plan, and on indexes under an armed ``IntervalLockManager``, where they
@@ -29,6 +33,7 @@ from repro.baselines.interfaces import DuplicateKeyError
 from repro.core.config import ChameleonConfig
 from repro.core.index import _FUSED_MIN, ChameleonIndex
 from repro.core.interval_lock import IntervalLockManager
+from repro.core.node import LeafNode, walk_leaves
 from repro.datasets import load as load_dataset
 
 BASE = load_dataset("UDEN", 1200, seed=12)
@@ -65,6 +70,8 @@ class PlanMachine(RuleBasedStateMachine):
         #: Keys of the latest scalar inserts: batches revisit them, since a
         #: stale leaf state shows on the leaves scalar writes just touched.
         self.recent: list[float] = []
+        #: Key span the latest window delete cleared; refills aim there.
+        self.cleared = (LO, HI)
 
     # -- key pickers ---------------------------------------------------------
 
@@ -170,6 +177,74 @@ class PlanMachine(RuleBasedStateMachine):
         assert self.fused.delete_batch(np.asarray(keys)) == want
         assert [self.twin.delete(k) for k in keys] == want
 
+    # -- churn: empty leaves, then refill their holes --------------------------
+
+    @rule(seed=seeds, width=st.integers(1, 48), absent=st.integers(0, 24),
+          scalar=st.booleans())
+    def delete_window(self, seed: int, width: int, absent: int, scalar: bool) -> None:
+        """Delete a run of neighbouring live keys, with absent keys from the
+        same span mixed in: the run empties leaves, and a miss after the
+        emptying hit meets the hole. ``scalar``: the batch index deletes
+        one key at a time too."""
+        rng = np.random.default_rng(seed)
+        live = np.sort(np.fromiter(self.oracle, dtype=np.float64))
+        start = int(rng.integers(0, max(1, live.size - width + 1)))
+        run = live[start : start + width].tolist()
+        lo, hi = run[0], run[-1]
+        self.cleared = (lo, hi)
+        misses = {float(k) for k in rng.uniform(lo, hi, absent)} - set(self.oracle)
+        keys = run + sorted(misses)
+        rng.shuffle(keys)
+        want = [self.oracle.pop(k, None) is not None for k in keys]
+        if scalar:
+            assert [self.fused.delete(k) for k in keys] == want
+        else:
+            assert self.fused.delete_batch(np.asarray(keys)) == want
+        assert [self.twin.delete(k) for k in keys] == want
+
+    @rule(seed=seeds, n=batch_sizes, batch=st.booleans())
+    def refill(self, seed: int, n: int, batch: bool) -> None:
+        """Insert fresh keys into the span the latest window delete cleared."""
+        lo, hi = self.cleared
+        rng = np.random.default_rng(seed)
+        keys = [
+            k for k in dict.fromkeys(float(k) for k in rng.uniform(lo, hi, n))
+            if k not in self.oracle
+        ]
+        if not keys:
+            return
+        if batch:
+            self.fused.insert_batch(np.asarray(keys))
+        else:
+            for k in keys:
+                self.fused.insert(k)
+        for k in keys:
+            self.twin.insert(k)
+            self.oracle[k] = k
+
+    @rule(seed=seeds, n=batch_sizes)
+    def reads_write_nothing(self, seed: int, n: int) -> None:
+        """Lookups, peeks and absent deletes — many of them into holes — keep
+        both trees' size and node count."""
+        rng = np.random.default_rng(seed)
+        lo, hi = self.cleared
+        keys = self._mixed(rng, n) + rng.uniform(lo, hi, n).tolist()
+        absent = [k for k in dict.fromkeys(keys) if k not in self.oracle]
+        want = [self.oracle.get(k) for k in keys]
+        shape = [(ix.size_bytes(), ix.node_count()) for ix in (self.fused, self.twin)]
+        assert self.fused.lookup_batch(np.asarray(keys)) == want
+        assert [self.twin.lookup(k) for k in keys] == want
+        assert [self.fused.lookup(k) for k in keys] == want
+        assert [self.twin.lookup(k) for k in keys] == want
+        assert self.fused.peek_batch(keys) == want
+        assert [self.twin.peek(k) for k in keys] == want
+        if absent:
+            assert self.fused.delete_batch(np.asarray(absent)) == [False] * len(absent)
+            assert [self.twin.delete(k) for k in absent] == [False] * len(absent)
+            assert self.fused.pop(absent[0], "gone") == "gone"
+            assert self.twin.pop(absent[0], "gone") == "gone"
+        assert [(ix.size_bytes(), ix.node_count()) for ix in (self.fused, self.twin)] == shape
+
     # -- topology changes ----------------------------------------------------
 
     @rule(pick=st.integers(0, 2**16))
@@ -201,6 +276,12 @@ class PlanMachine(RuleBasedStateMachine):
             twin.pop(name)
         assert fused == twin
         assert len(self.fused) == len(self.twin) == len(self.oracle)
+
+    @invariant()
+    def no_empty_leaf_below_the_root(self) -> None:
+        for ix in (self.fused, self.twin):
+            if not isinstance(ix._root, LeafNode):
+                assert all(leaf.n_keys for leaf in walk_leaves(ix._root))
 
     @invariant()
     def no_lock_races(self) -> None:
