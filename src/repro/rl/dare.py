@@ -90,6 +90,38 @@ def interpolated_fanout(
     return max(1, min(fanout, config.inner_fanout_max))
 
 
+def interpolated_fanouts(
+    matrix: np.ndarray,
+    level: int,
+    low_keys: np.ndarray,
+    high_keys: np.ndarray,
+    min_key: float,
+    max_key: float,
+    config: ChameleonConfig,
+) -> np.ndarray:
+    """:func:`interpolated_fanout` over arrays of node intervals.
+
+    The same float expression element-wise, rounded half-to-even like
+    ``round``, so each entry equals the scalar call bit for bit.
+    """
+    row = matrix[level - 1]
+    width = config.matrix_width
+    span = max_key - min_key
+    if span <= 0:
+        return np.ones(len(low_keys), dtype=np.int64)
+    x = ((low_keys + high_keys) / 2.0 - min_key) / span * (width - 1)
+    x = np.clip(x, 0.0, width - 1.0)
+    l = x.astype(np.int64)
+    inner = np.minimum(l, width - 2)  # the interpolating branch's index
+    value = np.where(
+        l >= width - 1,
+        row[width - 1],
+        (x - inner) * row[inner + 1] + (inner + 1 - x) * row[inner],
+    )
+    fanout = np.rint(value).astype(np.int64)
+    return np.clip(fanout, 1, config.inner_fanout_max)
+
+
 class DAREAgent:
     """Single-step agent: GA actor + DQN critic + DRF.
 

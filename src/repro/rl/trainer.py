@@ -140,7 +140,7 @@ class MARLTrainer:
         """One Algorithm 2 episode (lines 8-12) against a sampled dataset."""
         # Imported here, not at module level: repro.core.builder imports the
         # agent modules of this package, so a top-level import would cycle.
-        from ..core.builder import estimate_genes_cost
+        from ..core.builder import analytic_fitness, estimate_genes_cost
 
         keys = self.dataset_factory(self._rng)
         report.episodes += 1
@@ -148,7 +148,10 @@ class MARLTrainer:
         state = node_state(keys, self.config.b_d)
 
         # Algorithm 2 lines 8-10: blend optimised and random genes.
-        fitness = self._analytic_fitness(keys, weights)
+        fitness = analytic_fitness(
+            keys, self.config, len(keys),
+            w_query=weights.query, w_memory=weights.memory,
+        )
         a_best = self.dare.propose_action(
             state, weights=weights, fitness_fn=fitness, ga_iterations=4,
             seed_individual=self.dare.heuristic_action(len(keys)),
@@ -194,24 +197,6 @@ class MARLTrainer:
             obs_metrics.ACTIVE.inc("chameleon_rl_episodes_total")
 
     # -- internals --------------------------------------------------------------
-
-    def _analytic_fitness(
-        self, keys: np.ndarray, weights: RewardWeights
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """GA fitness: negative DRF-weighted instantiated cost."""
-        from ..core.builder import estimate_genes_cost
-
-        config = self.config
-        total = len(keys)
-
-        def fitness(pool: np.ndarray) -> np.ndarray:
-            rewards = np.empty(pool.shape[0])
-            for i, genes in enumerate(pool):
-                q, m = estimate_genes_cost(keys, genes, config, total)
-                rewards[i] = -(weights.query * q + weights.memory * m)
-            return rewards
-
-        return fitness
 
     def _tsmdp_episode(self, keys: np.ndarray, weights: RewardWeights) -> None:
         """Collect tree-structured transitions with Boltzmann exploration.

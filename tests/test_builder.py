@@ -14,10 +14,19 @@ from repro.core.builder import (
     refine_with_tsmdp,
     sampled_leaf_probe_cost,
 )
+from repro.core import builder as builder_module
 from repro.core.config import ChameleonConfig
+from repro.core.costs import cache_penalty, leaf_cost, split_step_cost
+from repro.core.features import node_state
 from repro.core.node import InnerNode, LeafNode, subtree_stats, walk_leaves
-from repro.datasets import face_like, uden
-from repro.rl.dare import gene_length
+from repro.datasets import face_like, logn, osmc_like, uden
+from repro.rl.dare import (
+    DAREAgent,
+    gene_bounds,
+    gene_length,
+    interpolated_fanout,
+    split_genes,
+)
 from repro.rl.tsmdp import TSMDPAgent
 
 
@@ -107,11 +116,11 @@ class TestGreedyBuilder:
 class TestProbeEstimator:
     def test_uniform_keys_near_one_probe(self, config):
         keys = np.linspace(0, 1e6, 1000)
-        assert sampled_leaf_probe_cost(keys, 0.0, 1e6, config) < 1.5
+        assert sampled_leaf_probe_cost(keys, config) < 1.5
 
     def test_tiny_inputs(self, config):
-        assert sampled_leaf_probe_cost(np.array([1.0]), 0.0, 2.0, config) == 1.0
-        assert sampled_leaf_probe_cost(np.empty(0), 0.0, 2.0, config) == 1.0
+        assert sampled_leaf_probe_cost(np.array([1.0]), config) == 1.0
+        assert sampled_leaf_probe_cost(np.empty(0), config) == 1.0
 
     def test_locally_mixed_keys_cost_more(self, config):
         """A leaf mixing a dense cluster into a wide span must cost more
@@ -121,8 +130,8 @@ class TestProbeEstimator:
             np.concatenate([np.linspace(0, 1e6, 500),
                             np.linspace(5e5, 5e5 + 50, 500)])
         )
-        assert sampled_leaf_probe_cost(mixed, 0.0, 1e6, config) > \
-            sampled_leaf_probe_cost(uniform, 0.0, 1e6, config)
+        assert sampled_leaf_probe_cost(mixed, config) > \
+            sampled_leaf_probe_cost(uniform, config)
 
 
 class TestGenesCost:
@@ -152,6 +161,192 @@ class TestGenesCost:
         degenerate = np.ones(gene_length(config))  # single giant leaf
         rewards = fitness(np.stack([sane, degenerate]))
         assert rewards[0] > rewards[1]
+
+
+def reference_genes_cost(
+    sample_keys: np.ndarray,
+    genes: np.ndarray,
+    config: ChameleonConfig,
+    total_keys: int,
+    query_sample: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """The GA fitness walked one node at a time: the reference that the
+    level-synchronous :func:`estimate_genes_cost` must reproduce.
+
+    Each node pops off a frontier, takes its fanout (p0 at the root, Eq. 4
+    below it), partitions its keys by Eq. 1 rank and pushes one child per
+    occupied rank with that child's slice of the query sample.
+    """
+    p0, matrix = split_genes(genes, config)
+    n_sample = len(sample_keys)
+    if n_sample == 0:
+        return 1.0, 1.0
+    scale = total_keys / n_sample
+    low, high = float(sample_keys[0]), float(sample_keys[-1])
+    if high <= low:
+        q, m = leaf_cost(total_keys, config)
+        return q + 1.0 / 8.0, m
+    if query_sample is None:
+        query_sample = sample_keys
+    n_queries = max(1, len(query_sample))
+    query = 0.0
+    memory = 0.0
+    min_cap_bytes = 16 * config.min_leaf_capacity + 48
+
+    def add_leaf(keys: np.ndarray, queries: np.ndarray, depth: int) -> None:
+        nonlocal query, memory
+        n_s = len(keys)
+        key_weight = n_s / n_sample
+        query_weight = len(queries) / n_queries
+        n_full = int(round(n_s * scale))
+        if n_s <= 2:
+            probe = 1.0 + cache_penalty(config.theorem1_capacity(n_full))
+        else:
+            probe = sampled_leaf_probe_cost(keys, config)
+            probe = 1.0 + (probe - 1.0) * scale
+            probe += cache_penalty(config.theorem1_capacity(n_full))
+        _, m = leaf_cost(n_full, config)
+        query += query_weight * (depth + probe) / 8.0
+        memory += key_weight * m
+
+    frontier = [(sample_keys, query_sample, low, high, 0, 1)]
+    while frontier:
+        keys, queries, lo, hi, level, depth = frontier.pop()
+        n_here = len(keys)
+        key_weight = n_here / n_sample
+        if level >= config.h - 1 or hi <= lo:
+            fanout = 1
+        elif level == 0:
+            fanout = p0
+        else:
+            fanout = interpolated_fanout(matrix, level, lo, hi, low, high, config)
+        if fanout <= 1:
+            add_leaf(keys, queries, depth)
+            continue
+        _, sm = split_step_cost(fanout, int(round(n_here * scale)))
+        memory += key_weight * sm
+        span = hi - lo
+        ranks = np.clip((fanout * (keys - lo) / span).astype(np.int64), 0, fanout - 1)
+        occupied_ranks = np.unique(ranks)
+        boundaries = np.append(np.searchsorted(ranks, occupied_ranks), n_here)
+        width = span / fanout
+        for j, rank in enumerate(occupied_ranks):
+            s, e = boundaries[j], boundaries[j + 1]
+            c_lo = lo + rank * width
+            c_hi = hi if rank == fanout - 1 else c_lo + width
+            q_lo = np.searchsorted(queries, c_lo, side="left")
+            q_hi = (
+                len(queries)
+                if rank == fanout - 1
+                else np.searchsorted(queries, c_hi, side="left")
+            )
+            frontier.append(
+                (keys[s:e], queries[q_lo:q_hi], c_lo, c_hi, level + 1, depth + 1)
+            )
+        empties = fanout - occupied_ranks.size
+        memory += empties * min_cap_bytes / max(1, total_keys) / 64.0
+    return query, memory
+
+
+ORACLE_DATASETS = {"FACE": face_like, "UDEN": uden, "LOGN": logn, "OSMC": osmc_like}
+ORACLE_KEYS = 20_000
+
+
+def fitness_sample(name: str) -> np.ndarray:
+    """The sample ``ChameleonBuilder`` hands the GA for a 20k-key dataset."""
+    keys = ORACLE_DATASETS[name](ORACLE_KEYS, seed=0)
+    return keys[:: max(1, ORACLE_KEYS // 1500)]
+
+
+def reference_fitness(sample: np.ndarray, config: ChameleonConfig, total_keys: int):
+    def fitness(pool: np.ndarray) -> np.ndarray:
+        rewards = np.empty(pool.shape[0])
+        for i, genes in enumerate(pool):
+            q, m = reference_genes_cost(sample, genes, config, total_keys)
+            rewards[i] = -(config.w_query * q + config.w_memory * m)
+        return rewards
+
+    return fitness
+
+
+class TestGenesCostOracle:
+    """The level-synchronous evaluator equals the node-at-a-time walk.
+
+    The two sum the same terms in different orders, so they agree to
+    1e-12 relative rather than bit for bit. The samples are the GA's own
+    (about 1,500 keys); on a whole 20k-key dataset the walk's sequential
+    sum alone drifts by a few 1e-13.
+    """
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_DATASETS))
+    def test_matches_reference_on_random_genes(self, name, config):
+        sample = fitness_sample(name)
+        rng = np.random.default_rng(sorted(ORACLE_DATASETS).index(name))
+        lower, upper = gene_bounds(config)
+        low, high = float(sample[0]), float(sample[-1])
+        span = high - low
+        query_samples = [
+            None,
+            sample[len(sample) // 3: len(sample) // 2].copy(),  # hot subrange
+            np.sort(rng.uniform(low - 0.3 * span, low + 0.6 * span, 800)),
+        ]
+        genes_list = [np.exp(rng.uniform(np.log(lower), np.log(upper))) for _ in range(6)]
+        genes_list[0][0] = 1.0
+        genes_list[1][0] = float(config.root_fanout_max)
+        for query_sample in query_samples:
+            for genes in genes_list:
+                for total in (ORACLE_KEYS, 1_000_000):
+                    want = reference_genes_cost(sample, genes, config, total, query_sample)
+                    got = estimate_genes_cost(sample, genes, config, total, query_sample)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("keys", [
+        np.full(50, 7.0), np.array([3.0]), np.array([1.0, 2.0]),
+        np.array([1.0, 2.0, 4.0]),
+    ], ids=["all-equal", "one", "two", "three"])
+    def test_matches_reference_on_degenerate_inputs(self, keys, config):
+        rng = np.random.default_rng(len(keys))
+        lower, upper = gene_bounds(config)
+        for p0 in (1.0, 2.0, 3.0, float(config.root_fanout_max), None):
+            genes = np.exp(rng.uniform(np.log(lower), np.log(upper)))
+            if p0 is not None:
+                genes[0] = p0
+            want = reference_genes_cost(keys, genes, config, 100)
+            got = estimate_genes_cost(keys, genes, config, 100)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_DATASETS))
+    def test_ga_picks_identical_genes(self, name, config):
+        """Algorithm 1 run with either fitness returns the same genes."""
+        sample = fitness_sample(name)
+        state = node_state(sample, config.b_d)
+        picked = []
+        for fitness in (
+            analytic_fitness(sample, config, ORACLE_KEYS),
+            reference_fitness(sample, config, ORACLE_KEYS),
+        ):
+            agent = DAREAgent(config)
+            picked.append(agent.propose_action(
+                state, fitness_fn=fitness, ga_iterations=3,
+                seed_individual=agent.heuristic_action(ORACLE_KEYS),
+            ))
+        np.testing.assert_array_equal(picked[0], picked[1])
+
+    def test_probe_cost_priced_once_per_segment(self, monkeypatch):
+        """A ChaDA build runs the Lindley pass once per distinct sample
+        segment of three or more keys, however many genes meet it."""
+        segments = []
+
+        def counting(keys: np.ndarray, config: ChameleonConfig) -> float:
+            segments.append(keys.tobytes())
+            return sampled_leaf_probe_cost(keys, config)
+
+        monkeypatch.setattr(builder_module, "sampled_leaf_probe_cost", counting)
+        keys = face_like(ORACLE_KEYS, seed=0)
+        ChameleonBuilder(strategy="ChaDA").build(keys, list(keys), Counters())
+        assert len(segments) > 0
+        assert min(len(segment) for segment in segments) >= 3 * keys.itemsize
+        assert len(segments) == len(set(segments))
 
 
 class TestRefineWithTsmdp:

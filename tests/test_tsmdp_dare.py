@@ -10,6 +10,7 @@ from repro.rl.dare import (
     gene_bounds,
     gene_length,
     interpolated_fanout,
+    interpolated_fanouts,
     split_genes,
 )
 from repro.rl.rewards import RewardWeights
@@ -158,6 +159,27 @@ class TestEq4Interpolation:
     def test_degenerate_span(self, config):
         matrix = np.ones((config.h - 2, config.matrix_width)) * 4
         assert interpolated_fanout(matrix, 1, 0.0, 1.0, 5.0, 5.0, config) == 1
+
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    def test_array_form_equals_scalar(self, width):
+        """Every entry of the vectorised Eq. 4 equals the scalar call,
+        including half-way values (round half to even) and both clamps."""
+        config = ChameleonConfig(h=4, matrix_width=width)
+        rng = np.random.default_rng(width)
+        matrix = np.exp(rng.uniform(-1.0, 8.0, (config.h - 2, width)))
+        matrix[0, 0] = 2.5
+        matrix[1, -1] = 1e9
+        lows = np.concatenate([rng.uniform(-5.0, 105.0, 300), [0.0, 100.0]])
+        highs = lows + np.concatenate([rng.exponential(3.0, 300), [0.0, 1.0]])
+        for level in (1, 2):
+            got = interpolated_fanouts(matrix, level, lows, highs, 0.0, 100.0, config)
+            want = [
+                interpolated_fanout(matrix, level, lo, hi, 0.0, 100.0, config)
+                for lo, hi in zip(lows, highs)
+            ]
+            assert got.tolist() == want
+        assert interpolated_fanouts(matrix, 1, lows, highs, 5.0, 5.0, config).tolist() \
+            == [1] * len(lows)
 
 
 class TestDAREAgent:
