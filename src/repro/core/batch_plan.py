@@ -13,19 +13,22 @@ vector with a few full-vector operations:
   the scalar :meth:`InnerNode.route` operation-for-operation, so the
   routing decision (and therefore the visited leaf) is bit-identical;
 * **leaf probing** — the visited leaves' slot arrays live in one
-  concatenated store with per-leaf base offsets, so Eq. 2 home slots and
-  the cd-window probes run across *all* keys at once regardless of which
-  leaf each landed in. Probe *counts* use the closed forms of the scalar
-  outward scan (match at ``+o`` costs ``2o`` probes — ``1`` at
-  ``o == 0`` — match at ``-o`` costs ``2o + 1``, a miss scans the whole
-  deduplicated window);
+  concatenated store with per-leaf base offsets, so Eq. 2 home slots run
+  across *all* keys at once regardless of which leaf each landed in, and
+  one ragged gather reads every key's own cd window (``1 + 2·min(cd,
+  c // 2)`` slots, less the ring apex) in the scalar scan's probe order
+  (+0, +1, −1, +2, …): a batch pays the sum of its keys' windows, not
+  its widest window times its size. Probe *counts* use the closed forms
+  of the scalar outward scan (match at ``+o`` costs ``2o`` probes — ``1``
+  at ``o == 0`` — match at ``-o`` costs ``2o + 1``, a miss scans the
+  whole deduplicated window);
 * **writes** — building a plan rebinds each leaf's slot arrays onto
   views of the concatenated store, so the write executors
   (:meth:`BatchQueryPlan.insert`, :meth:`BatchQueryPlan.delete`) scatter
   and clear slots for *all* leaves with single vector operations that
   update the live tree directly. Keys whose placement the scalar stream
-  would have made interesting — an occupied home slot, a second batch
-  key aimed at the same slot, a load-trigger point, a leaf that rehashed
+  would have made interesting — a cd window with no free slot, a second
+  batch key in the same leaf, a load-trigger point, a leaf that rehashed
   or split mid-batch — fall back to the scalar per-key logic in stream
   order, so splits, rehashes, conflict-degree growth, and every counter
   land exactly as the one-at-a-time stream would.
@@ -67,13 +70,53 @@ from ..obs import trace as obs_trace
 from .node import InnerNode, LeafNode, Node
 
 if TYPE_CHECKING:
-    from ..baselines.counters import Counters
     from .ebh import ErrorBoundedHash
     from .index import ChameleonIndex
 
 #: ``child_table`` encoding: inner node -> id + 1 (positive), leaf node ->
 #: -(id + 1) (negative), missing child -> 0.
 _HOLE = 0
+
+
+def _window_len(limits: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Distinct slots in each key's cd window: ``1 + 2·lim``, less the ring
+    apex (``2·lim == c``) where the minus probe folds onto the plus one.
+    This is also the probe count of a miss."""
+    return 1 + 2 * limits - ((2 * limits == caps) & (limits > 0))
+
+
+def _probe_counts(
+    found: np.ndarray,
+    match_off: np.ndarray,
+    match_minus: np.ndarray,
+    limits: np.ndarray,
+    caps: np.ndarray,
+) -> np.ndarray:
+    """The scalar outward scan's probe count per key, in closed form: a hit
+    at ``+o`` costs ``2o`` (``1`` at ``o == 0``), at ``-o`` ``2o + 1``, and a
+    miss its whole window."""
+    hit = np.where(match_minus, 2 * match_off + 1, np.maximum(1, 2 * match_off))
+    return np.where(found, hit, _window_len(limits, caps))
+
+
+def _windows(
+    homes: np.ndarray, caps: np.ndarray, limits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every key's cd window as one ragged vector, key after key.
+
+    Within a key, window position ``p`` is the scalar outward scan's
+    ``p``-th probe (+0, +1, −1, +2, −2, …): offset ``(p + 1) >> 1``, on the
+    minus side when ``p`` is even and nonzero. Returns ``(kid, off,
+    minus, slot, w)``: per position the key's index, offset, side and
+    leaf-local slot, and per key its window length.
+    """
+    w = _window_len(limits, caps)
+    kid = np.repeat(np.arange(w.size), w)
+    p = np.arange(kid.size) - np.repeat(np.cumsum(w) - w, w)
+    off = (p + 1) >> 1
+    minus = (p & 1 == 0) & (p > 0)
+    slot = (homes[kid] + np.where(minus, -off, off)) % caps[kid]
+    return kid, off, minus, slot, w
 
 
 class BatchQueryPlan:
@@ -245,33 +288,47 @@ class BatchQueryPlan:
         homes = np.where(span > 0.0, homes, 0)
         limits = np.minimum(self.leaf_cd[lids], caps // 2)
         offs = self.leaf_off[lids]
-        store = self.store_keys
         found = np.zeros(r, dtype=bool)
         abs_slot = np.zeros(r, dtype=np.int64)
         match_off = np.zeros(r, dtype=np.int64)
         match_minus = np.zeros(r, dtype=bool)
-        for o in range(int(limits.max()) + 1 if r else 0):
-            active = ~found & (limits >= o)
-            if not active.any():
-                break
-            plus_slot = (homes + o) % caps
-            hitp = active & (store[offs + plus_slot] == k)
-            if hitp.any():
-                found |= hitp
-                match_off[hitp] = o
-                abs_slot[hitp] = (offs + plus_slot)[hitp]
-            if o:
-                # The minus probe exists unless the ring apex (2o == c)
-                # folds it onto the plus slot already inspected above.
-                live = active & ~hitp & (2 * o != caps)
-                minus_slot = (homes - o) % caps
-                hitm = live & (store[offs + minus_slot] == k)
-                if hitm.any():
-                    found |= hitm
-                    match_off[hitm] = o
-                    match_minus[hitm] = True
-                    abs_slot[hitm] = (offs + minus_slot)[hitm]
+        # A key is stored once and its window slots are distinct, so each
+        # key has at most one hit: the hits scatter straight into place.
+        kid, off, minus, slot, _ = _windows(homes, caps, limits)
+        at = offs[kid] + slot
+        hit = np.flatnonzero(self.store_keys[at] == k[kid])
+        hk = kid[hit]
+        found[hk] = True
+        abs_slot[hk] = at[hit]
+        match_off[hk] = off[hit]
+        match_minus[hk] = minus[hit]
         return found, abs_slot, match_off, match_minus, homes, limits, caps, offs
+
+    @declared_contract("counter_neutral")
+    def _raw_free_slots(
+        self, kv: np.ndarray, lids: np.ndarray, homes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """The insert lane's scan: each key's first free slot in its cd window.
+
+        ``None`` if a window holds its own key (a duplicate). Otherwise
+        ``(has, abs_slot, free_off, probes)`` for the keys (indexes into
+        ``kv``) whose window has a free slot: the first one in scan order,
+        its offset, and the window length — the scalar scan clears the
+        whole window once it knows a free slot. A key not in ``has`` needs
+        a slot past cd, which only the scalar scan finds.
+        """
+        caps = self.leaf_cap[lids]
+        kid, off, _, slot, w = _windows(
+            homes, caps, np.minimum(self.leaf_cd[lids], caps // 2)
+        )
+        at = self.leaf_off[lids][kid] + slot
+        g = self.store_keys[at]
+        if (g == kv[kid]).any():
+            return None
+        free = np.flatnonzero(g != g)
+        first = free[np.diff(kid[free], prepend=-1) != 0]
+        has = kid[first]
+        return has, at[first], off[first], w[has]
 
     # -- execution ------------------------------------------------------------
 
@@ -286,23 +343,12 @@ class BatchQueryPlan:
         counters = index.counters
         m = int(karr.size)
         out: list[Any | None] = [None] * m
-        with obs_trace.span("plan.lookup").put("n", m):
-            return self._lookup_fused(index, karr, counters, m, out)
-
-    def _lookup_fused(
-        self,
-        index: "ChameleonIndex",
-        karr: np.ndarray,
-        counters: "Counters",
-        m: int,
-        out: list[Any | None],
-    ) -> list[Any | None]:
-        cur, depth, hole_parent, hole_rank = self._raw_descend(karr)
-        d = int(depth.sum())
-        counters.node_hops += d
-        counters.model_evals += d
-        sel = np.flatnonzero(cur < 0)
-        if sel.size:
+        with obs_trace.span("plan.lookup").put("n", m) as sp:
+            cur, depth, hole_parent, hole_rank = self._raw_descend(karr)
+            d = int(depth.sum())
+            counters.node_hops += d
+            counters.model_evals += d
+            sel = np.flatnonzero(cur < 0)
             lids = -cur[sel] - 1
             det = self.leaf_detached[lids]
             if det.any():
@@ -311,22 +357,35 @@ class BatchQueryPlan:
                 # accounting, the descent is already charged).
                 for i, lid in zip(sel[det].tolist(), lids[det].tolist()):
                     out[i] = self.leaves[lid].ebh.lookup(float(karr[i]))
-                keep = ~det
-                sel = sel[keep]
-                lids = lids[keep]
+                sel = sel[~det]
+                lids = lids[~det]
             if sel.size:
-                self._probe_leaves(index, karr, sel, lids, out)
-        for i in np.flatnonzero(cur == _HOLE).tolist():
-            # The plan recorded no leaf here when it was built. The scalar
-            # walk below the slot re-reads the live pointer: an insert (or
-            # a retrainer swap) may have filled it since; a slot still
-            # empty answers "absent". Counting stays exact — the fused
-            # loop already charged the hops down to this node.
-            k = float(karr[i])
-            leaf, _ = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
-            if leaf is not None:
-                out[i] = leaf.ebh.lookup(k)
-        return out
+                counters.model_evals += int(sel.size)
+                found, abs_slot, match_off, match_minus, _, limits, caps, _ = (
+                    self._raw_locate(karr, sel, lids)
+                )
+                probes = _probe_counts(found, match_off, match_minus, limits, caps)
+                counters.slot_probes += int(probes.sum())
+                if obs_trace.ACTIVE is not None:
+                    sp.put("window_slots", int(_window_len(limits, caps).sum()))
+                if obs_metrics.ACTIVE is not None:
+                    obs_metrics.ACTIVE.observe_many(
+                        "chameleon_probe_length_slots", probes.tolist()
+                    )
+                vals = self.store_values[abs_slot[found]]
+                for i, v in zip(sel[found].tolist(), vals.tolist()):
+                    out[i] = v
+            for i in np.flatnonzero(cur == _HOLE).tolist():
+                # The plan recorded no leaf here when it was built. The
+                # scalar walk below the slot re-reads the live pointer: an
+                # insert (or a retrainer swap) may have filled it since; a
+                # slot still empty answers "absent". Counting stays exact —
+                # the fused loop already charged the hops down to this node.
+                k = float(karr[i])
+                leaf, _ = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
+                if leaf is not None:
+                    out[i] = leaf.ebh.lookup(k)
+            return out
 
     def _slot(self, parent: Any, rank: Any) -> list[tuple[InnerNode, int]]:
         """The one-slot upper path that resumes a scalar walk below ``parent``."""
@@ -337,38 +396,6 @@ class BatchQueryPlan:
         p = int(self.leaf_parent[lid])
         return [] if p < 0 else self._slot(p, self.leaf_rank[lid])
 
-    def _probe_leaves(
-        self,
-        index: "ChameleonIndex",
-        karr: np.ndarray,
-        sel: np.ndarray,
-        lids: np.ndarray,
-        out: list[Any | None],
-    ) -> None:
-        """Fused Eq. 2 + cd-window probe for keys that reached a leaf."""
-        counters = index.counters
-        r = int(sel.size)
-        counters.model_evals += r
-        found, abs_slot, match_off, match_minus, _, limits, caps, _ = (
-            self._raw_locate(karr, sel, lids)
-        )
-        miss_probes = 1 + 2 * limits - ((2 * limits == caps) & (limits > 0))
-        probes = np.where(
-            found,
-            np.where(match_minus, 2 * match_off + 1, np.maximum(1, 2 * match_off)),
-            miss_probes,
-        )
-        counters.slot_probes += int(probes.sum())
-        if obs_metrics.ACTIVE is not None:
-            obs_metrics.ACTIVE.observe_many(
-                "chameleon_probe_length_slots", probes.tolist()
-            )
-        if found.any():
-            hit_idx = sel[found]
-            vals = self.store_values[abs_slot[found]]
-            for i, v in zip(hit_idx.tolist(), vals.tolist()):
-                out[i] = v
-
     def insert(
         self,
         index: "ChameleonIndex",
@@ -378,8 +405,10 @@ class BatchQueryPlan:
         """Fused insert of a key vector, counter-identical to the stream.
 
         One gathered descent routes every key and one vectorised Eq. 2
-        pass computes every home slot; placement then replays the scalar
-        outward scan in stream order against the shared store — an
+        pass computes every home slot. In a duplicate-certified batch each
+        leaf's first key takes the first free slot of its cd window from
+        one ragged gather (:meth:`_insert_certified`); other keys replay
+        the scalar outward scan in stream order against the shared store — an
         occupancy *simulation* like :meth:`ErrorBoundedHash.place`, but
         probing slot values directly so duplicate detection,
         nearest-free-slot choice, probe totals, and conflict-degree growth
@@ -397,7 +426,7 @@ class BatchQueryPlan:
         """
         counters = index.counters
         m = int(karr.size)
-        with obs_trace.span("plan.insert").put("n", m):
+        with obs_trace.span("plan.insert").put("n", m) as sp:
             cur, depth, hole_parent, hole_rank = self._raw_descend(karr)
             sel = np.flatnonzero(cur < 0)
             all_lids = -cur[sel] - 1
@@ -422,8 +451,8 @@ class BatchQueryPlan:
             # key proves no insert in this batch can raise. Certified
             # batches may then reorder across leaves — per-leaf streams
             # are independent in every observable — which unlocks the
-            # vectorised first-key lane. The lane's own scan covers its
-            # keys' windows as it probes, so only the residue needs the
+            # vectorised first-key lane. The lane's own gather covers its
+            # keys' windows, so only the residue needs the
             # counter-neutral pre-probe here; anything uncertified
             # replays the exact stream (mid-batch raise with the scalar
             # prefix applied).
@@ -450,6 +479,12 @@ class BatchQueryPlan:
                         if (self.leaves[lid].ebh._keys == karr[j]).any():
                             certified = False
                             break
+                if obs_trace.ACTIVE is not None:
+                    # The pre-probe gathers the residue's windows; the
+                    # lane gathers the first keys' too when it runs.
+                    g = alids if certified else all_lids[satt]
+                    lim = np.minimum(self.leaf_cd[g], self.leaf_cap[g] // 2)
+                    sp.put("window_slots", int(_window_len(lim, self.leaf_cap[g]).sum()))
                 if certified and self._insert_certified(
                     index, karr, vals, cur, depth, hole_parent, hole_rank,
                     homes_full, all_lids, vect,
@@ -476,76 +511,38 @@ class BatchQueryPlan:
         """Vectorised lane for a duplicate-certified, hole-free batch.
 
         Each leaf's first key — the bulk of a batch spread over many
-        leaves — runs through one offset-synchronous replay of the scalar
-        outward scan against the store (exact probe counts, first-free
-        choice, and cd growth), committed with one scatter. Later keys of
-        a leaf, load-trigger points, and detached leaves fall through to
-        the scalar sim afterwards, preserving each leaf's stream order —
-        the only order the scalar observables depend on. The scan doubles
-        as the lane's duplicate check (it covers every cd window it
-        probes); finding one aborts before anything is written and the
-        caller replays the exact stream — returns False in that case.
+        leaves — takes the first free slot of its cd window from one
+        ragged gather (:meth:`_raw_free_slots`): the scalar outward scan's
+        free-slot choice and probe count, committed with one scatter. A
+        slot inside the window never grows cd. Later keys of a leaf,
+        load-trigger points, detached leaves and first keys whose window
+        is full fall through to the scalar sim afterwards, preserving each
+        leaf's stream order — the only order the scalar observables depend
+        on. The gather doubles as the lane's duplicate check (a stored key
+        sits inside its window); finding one aborts before anything is
+        written and the caller replays the exact stream — returns False in
+        that case.
         """
         counters = index.counters
         leaves = self.leaves
         vidx = np.flatnonzero(vect)
-        r = int(vidx.size)
-        if r:
+        if vidx.size:
             lids_v = all_lids[vidx]
-            caps_v = self.leaf_cap[lids_v]
-            offs_v = self.leaf_off[lids_v]
-            cds_v = self.leaf_cd[lids_v]
-            homes_v = homes_full[vidx]
-            kv = karr[vidx]
-            store = self.store_keys
-            free_slot = np.full(r, -1, dtype=np.int64)
-            free_off = np.full(r, -1, dtype=np.int64)
-            probes = np.zeros(r, dtype=np.int64)
-            act = np.arange(r)
-            offset = 0
-            # Offset-synchronous scan: every still-running key probes its
-            # plus (and deduplicated minus) slot at this offset, locks in
-            # the first free slot it sees, and stops once a free slot is
-            # known and the cd window is cleared — the scalar loop's exact
-            # probe schedule, one offset at a time across the batch. A
-            # gathered slot equal to its key is a duplicate: nothing has
-            # been written yet, so the lane can still abort cleanly.
-            while act.size:
-                h = homes_v[act]
-                c = caps_v[act]
-                o = offs_v[act]
-                s = (h + offset) % c
-                g = store[o + s]
-                if (g == kv[act]).any():
-                    return False
-                probes[act] += 1
-                nf = free_slot[act] < 0
-                hit = nf & (g != g)
-                if hit.any():
-                    ai = act[hit]
-                    free_slot[ai] = s[hit]
-                    free_off[ai] = offset
-                if offset:
-                    mm = 2 * offset != c
-                    if mm.any():
-                        am = act[mm]
-                        c2 = caps_v[am]
-                        s2 = (homes_v[am] - offset) % c2
-                        g2 = store[offs_v[am] + s2]
-                        if (g2 == kv[am]).any():
-                            return False
-                        probes[am] += 1
-                        nf2 = free_slot[am] < 0
-                        hit2 = nf2 & (g2 != g2)
-                        if hit2.any():
-                            ai2 = am[hit2]
-                            free_slot[ai2] = s2[hit2]
-                            free_off[ai2] = offset
-                done = (free_slot[act] >= 0) & (offset >= cds_v[act])
-                act = act[~done]
-                offset += 1
-            abs_slots = offs_v + free_slot
-            store[abs_slots] = karr[vidx]
+            lane = self._raw_free_slots(karr[vidx], lids_v, homes_full[vidx])
+            if lane is None:
+                return False
+            has, abs_slots, _, probes = lane
+            if has.size < vidx.size:
+                # A full window: the free slot lies past cd, where the
+                # scan also grows cd. The key is its leaf's first, so it
+                # joins the stream ahead of the leaf's later keys.
+                vect = vect.copy()
+                vect[vidx] = False
+                vidx = vidx[has]
+                vect[vidx] = True
+                lids_v = lids_v[has]
+            r = int(vidx.size)
+            self.store_keys[abs_slots] = karr[vidx]
             vvals = np.empty(r, dtype=object)
             if vals is None:
                 vvals[:] = karr[vidx].tolist()
@@ -557,8 +554,6 @@ class BatchQueryPlan:
             counters.model_evals += int(depth[vidx].sum()) + r
             counters.slot_probes += int(probes.sum())
             self.leaf_n[lids_v] += 1
-            grew = free_off > cds_v
-            self.leaf_cd[lids_v] = np.maximum(cds_v, free_off)
             ebhs = self.leaf_ebhs
             for lid in lids_v.tolist():
                 ebhs[lid].n_keys += 1
@@ -567,8 +562,6 @@ class BatchQueryPlan:
             if drift is not None:
                 for lid in lids_v.tolist():
                     drift[leaves[lid]] = None
-            for i in np.flatnonzero(grew).tolist():
-                ebhs[int(lids_v[i])].conflict_degree = int(free_off[i])
             index._n += r
             index.updates_since_build += r
         slow = np.flatnonzero(~vect)
@@ -792,7 +785,7 @@ class BatchQueryPlan:
         counters = index.counters
         m = int(karr.size)
         out = np.zeros(m, dtype=bool)
-        with obs_trace.span("plan.delete").put("n", m):
+        with obs_trace.span("plan.delete").put("n", m) as sp:
             cur, depth, hole_parent, hole_rank = self._raw_descend(karr)
             d = int(depth.sum())
             counters.node_hops += d
@@ -816,14 +809,9 @@ class BatchQueryPlan:
                 found, abs_slot, match_off, match_minus, _, limits, caps, _ = (
                     self._raw_locate(karr, sel, lids)
                 )
-                miss_probes = 1 + 2 * limits - ((2 * limits == caps) & (limits > 0))
-                probes = np.where(
-                    found,
-                    np.where(
-                        match_minus, 2 * match_off + 1, np.maximum(1, 2 * match_off)
-                    ),
-                    miss_probes,
-                )
+                probes = _probe_counts(found, match_off, match_minus, limits, caps)
+                if obs_trace.ACTIVE is not None:
+                    sp.put("window_slots", int(_window_len(limits, caps).sum()))
                 if found.any():
                     hit_slots = abs_slot[found]
                     self.store_keys[hit_slots] = np.nan

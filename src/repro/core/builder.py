@@ -337,7 +337,10 @@ def estimate_genes_cost(
             When given, the query-cost term weighs each node by its query
             mass instead of its key mass — the paper's Section IV-B2 note
             that "other factors such as the query distribution can be
-            added to the reward function".
+            added to the reward function". Queries outside a node's
+            interval count in its first or last child, as Eq. 1 clamps
+            them; a query that ends in a keyless child (a hole) costs the
+            hops down to it and no probe.
 
     Returns:
         Normalised (query_cost, memory_cost); lower is better.
@@ -374,6 +377,8 @@ def _genes_cost(
         (16 * config.min_leaf_capacity + 48) / max(1, total_keys) / 64.0
     )
     memory = 0.0
+    # Query-weighted hops of queries that end in a keyless child.
+    hole_hops = 0
     # One entry per node of the current level: its sample slice
     # [start, end), query slice [q_start, q_end) and interval [lo, hi).
     start = np.zeros(1, dtype=np.int64)
@@ -433,15 +438,23 @@ def _genes_cost(
         last = rank == fanout[parent] - 1
         c_hi = np.where(last, hi[parent], c_lo + width[parent])
         # Clamped to the parent's query slice, one global searchsorted
-        # equals a searchsorted on that slice.
+        # equals a searchsorted on that slice. Eq. 1 clamps queries below
+        # the node's interval into rank 0 and above it into the last rank.
         parent_q_start, parent_q_end = q_start[parent], q_end[parent]
-        q_start = np.clip(np.searchsorted(queries, c_lo, side="left"),
-                          parent_q_start, parent_q_end)
+        q_in = int((q_end - q_start).sum())
+        q_start = np.where(
+            rank == 0, parent_q_start,
+            np.clip(np.searchsorted(queries, c_lo, side="left"),
+                    parent_q_start, parent_q_end),
+        )
         q_end = np.where(
             last, parent_q_end,
             np.clip(np.searchsorted(queries, c_hi, side="left"),
                     parent_q_start, parent_q_end),
         )
+        # The rest of the level's queries end in keyless children: they
+        # pay the hops down to the hole and no probe.
+        hole_hops += (q_in - int((q_end - q_start).sum())) * (level + 1)
         start = pos[first]
         end = np.append(pos[first[1:] - 1] + 1, pos[-1] + 1)
         lo, hi = c_lo, c_hi
@@ -467,6 +480,7 @@ def _genes_cost(
     # with the sample step: lift to full size.
     probe = 1.0 + displacement * scale + penalty
     query = float(np.sum(n_q / n_queries * (depth + probe) / 8.0))
+    query += hole_hops / n_queries / 8.0
     memory += float(np.sum(n_s / n_sample * leaf_memory))
     return query, memory
 

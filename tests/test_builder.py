@@ -175,7 +175,10 @@ def reference_genes_cost(
 
     Each node pops off a frontier, takes its fanout (p0 at the root, Eq. 4
     below it), partitions its keys by Eq. 1 rank and pushes one child per
-    occupied rank with that child's slice of the query sample.
+    occupied rank with that child's slice of the query sample: rank 0
+    from the start of the node's slice and the last rank to its end, as
+    Eq. 1 clamps. Queries no occupied child takes end in a hole and pay
+    the node's depth in hops.
     """
     p0, matrix = split_genes(genes, config)
     n_sample = len(sample_keys)
@@ -230,11 +233,12 @@ def reference_genes_cost(
         occupied_ranks = np.unique(ranks)
         boundaries = np.append(np.searchsorted(ranks, occupied_ranks), n_here)
         width = span / fanout
+        routed = 0
         for j, rank in enumerate(occupied_ranks):
             s, e = boundaries[j], boundaries[j + 1]
             c_lo = lo + rank * width
             c_hi = hi if rank == fanout - 1 else c_lo + width
-            q_lo = np.searchsorted(queries, c_lo, side="left")
+            q_lo = 0 if rank == 0 else np.searchsorted(queries, c_lo, side="left")
             q_hi = (
                 len(queries)
                 if rank == fanout - 1
@@ -243,6 +247,9 @@ def reference_genes_cost(
             frontier.append(
                 (keys[s:e], queries[q_lo:q_hi], c_lo, c_hi, level + 1, depth + 1)
             )
+            routed += q_hi - q_lo
+        # Queries in keyless children pay the hops down to them, no probe.
+        query += (len(queries) - routed) / n_queries * depth / 8.0
         empties = fanout - occupied_ranks.size
         memory += empties * min_cap_bytes / max(1, total_keys) / 64.0
     return query, memory
@@ -331,6 +338,29 @@ class TestGenesCostOracle:
                 seed_individual=agent.heuristic_action(ORACLE_KEYS),
             ))
         np.testing.assert_array_equal(picked[0], picked[1])
+
+    def test_queries_outside_the_keys_and_in_holes_are_charged(self, config):
+        """Eq. 1 clamps a query below (above) every key into the rank-0
+        (last) child, down to the leaf of the lowest (highest) key; a query
+        that ends in a keyless child pays the hops down to it, no probe."""
+        keys = np.concatenate([np.linspace(0.0, 1.0, 500), np.linspace(99.0, 100.0, 500)])
+        rng = np.random.default_rng(5)
+        genes = np.exp(rng.uniform(*np.log(gene_bounds(config))))
+        for p0 in (64.0, 1000.0, float(config.root_fanout_max)):
+            genes[0] = p0
+
+            def cost(queries):
+                want = reference_genes_cost(keys, genes, config, 1000, queries)
+                got = estimate_genes_cost(keys, genes, config, 1000, queries)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                return got[0]
+
+            below = cost(np.sort(rng.uniform(-50.0, -10.0, 300)))
+            assert below == cost(np.full(300, keys[0])) > 1.0 / 8.0
+            above = cost(np.sort(rng.uniform(110.0, 150.0, 300)))
+            assert above == cost(np.full(300, keys[-1])) > 1.0 / 8.0
+            # Root children are at most 100 / 64 wide: [40, 60] holds no key.
+            assert cost(np.sort(rng.uniform(40.0, 60.0, 300))) == pytest.approx(1.0 / 8.0)
 
     def test_probe_cost_priced_once_per_segment(self, monkeypatch):
         """A ChaDA build runs the Lindley pass once per distinct sample

@@ -7,7 +7,9 @@ and whole-tree rebuilds — so the cached fused plan lives across scalar
 writes, rehashes, splits and topology changes, and small batches take the
 stream executor. Window deletes clear runs of neighbouring keys, so
 leaves empty and are reclaimed as holes (with misses in the same batch
-after the emptying hit), and refills insert into those holes again. A
+after the emptying hit), and refills insert into those holes again.
+Hotspots pack keys around one home slot, so a leaf's cd grows wide and
+its window fills, and the batch ops then run over that span. A
 scalar-only twin replays every step one key at a time, and a dict oracle
 holds the expected contents. After every step the results match the
 oracle, the structural counters match the twin's bit for bit (lock
@@ -244,6 +246,59 @@ class PlanMachine(RuleBasedStateMachine):
             assert self.fused.pop(absent[0], "gone") == "gone"
             assert self.twin.pop(absent[0], "gone") == "gone"
         assert [(ix.size_bytes(), ix.node_count()) for ix in (self.fused, self.twin)] == shape
+
+    # -- wide and full cd windows --------------------------------------------
+
+    def _packed(self, rng: np.random.Generator, center: float, n: int) -> list[float]:
+        """``n`` distinct absent keys within about one home slot of ``center``
+        in the leaf Eq. 1 routes it to."""
+        e = self.fused._locate_leaf(center).ebh
+        width = max(e.high_key - e.low_key, 1.0) / (e.capacity * e.alpha)
+        out = [
+            k for k in dict.fromkeys((center + width * rng.uniform(-1.0, 1.0, 4 * n)).tolist())
+            if k not in self.oracle
+        ]
+        return out[:n]
+
+    @rule(seed=seeds, n=st.integers(4, 40), batch=st.booleans())
+    def hotspot(self, seed: int, n: int, batch: bool) -> None:
+        """Keys packed around one home slot grow the leaf's cd wide and fill
+        its window (``batch``: they land by one insert batch, else one at a
+        time); then lookup, delete and insert batches, padded past the fused
+        threshold, run over that span."""
+        rng = np.random.default_rng(seed)
+        center = float(rng.choice(np.fromiter(self.oracle, dtype=np.float64)))
+        packed = self._packed(rng, center, n)
+        if not packed:
+            return
+        if batch:
+            self.fused.insert_batch(np.asarray(packed))
+        else:
+            for k in packed:
+                self.fused.insert(k)
+        for k in packed:
+            self.twin.insert(k)
+            self.oracle[k] = k
+        lo, hi = min(packed + [center]), max(packed + [center])
+        near = [k for k in rng.uniform(lo, hi, n).tolist() if k not in self.oracle]
+        keys = list(dict.fromkeys(packed + near + self._mixed(rng, _FUSED_MIN)))
+        want = [self.oracle.get(k) for k in keys]
+        assert self.fused.lookup_batch(np.asarray(keys)) == want
+        assert [self.twin.lookup(k) for k in keys] == want
+        rng.shuffle(keys)
+        keys = keys[: len(keys) // 2 + 1]
+        want = [self.oracle.pop(k, None) is not None for k in keys]
+        assert self.fused.delete_batch(np.asarray(keys)) == want
+        assert [self.twin.delete(k) for k in keys] == want
+        center = packed[0] if packed[0] in self.oracle else center
+        if center not in self.oracle:
+            return
+        fresh = self._packed(rng, center, n)
+        fresh += [k for k in self._fresh(rng, _FUSED_MIN) if k not in fresh]
+        self.fused.insert_batch(np.asarray(fresh))
+        for k in fresh:
+            self.twin.insert(k)
+            self.oracle[k] = k
 
     # -- topology changes ----------------------------------------------------
 
