@@ -26,30 +26,30 @@ vector with a few full-vector operations:
   views of the concatenated store, so the write executors
   (:meth:`BatchQueryPlan.insert`, :meth:`BatchQueryPlan.delete`) scatter
   and clear slots for *all* leaves with single vector operations that
-  update the live tree directly. Keys whose placement the scalar stream
-  would have made interesting — a cd window with no free slot, a second
-  batch key in the same leaf, a load-trigger point, a leaf that rehashed
-  or split mid-batch — fall back to the scalar per-key logic in stream
-  order, so splits, rehashes, conflict-degree growth, and every counter
-  land exactly as the one-at-a-time stream would.
+  update the live tree directly. Every key a vector lane does not take —
+  a cd window with no free slot, a second batch key in the same leaf, a
+  load-trigger point, a detached leaf, a hole — resumes the scalar op
+  below the ``(parent, rank)`` slot where the fused descent stopped, in
+  stream order, so splits, rehashes, conflict-degree growth, and every
+  counter land exactly as the one-at-a-time stream would.
 
 The plan is a cache, not part of the structure: it is rebuilt lazily
 whenever the index's topology epoch moves (bulk load, full rebuild,
 subtree swap, leaf split, reclaim — see
 :meth:`ChameleonIndex._plan_version`). Everything else leaves the plan
 valid. Writes, scalar or batched, land in the leaves' views of the plan
-store; a leaf whose storage a rehash replaced is marked *detached* and
-served by the scalar per-leaf logic until the next rebuild; keys that
-reach a missing (``None``) child take the scalar per-key walk, which
-re-reads the live pointer: a leaf an insert has made there since is
-served, a hole still empty answers "absent" to a lookup or delete, and
-only an insert makes a leaf in it, exactly as the scalar ops do. A delete
-that empties a non-root leaf turns its slot back into a hole (the fused
-delete does so for every leaf its batch empties), which moves the epoch.
-The per-leaf state the fused probes depend on (``n_keys``, conflict
-degree, detached or not) is re-read before each fused op for exactly the
-leaves written outside the plan since its last op (see
-:meth:`BatchQueryPlan.sync_leaves`). Only the index's current plan may
+store; a leaf whose storage a rehash replaced is *detached*, and its
+keys resume the scalar op until the next rebuild; so do keys that reach
+a missing (``None``) child, whose scalar walk re-reads the live pointer:
+a leaf an insert has made there since is served, a hole still empty
+answers "absent" to a lookup or delete, and only an insert makes a leaf
+in it, exactly as the scalar ops do. A delete that empties a non-root
+leaf turns its slot back into a hole (the fused delete does so for every
+leaf its batch empties), which moves the epoch. The per-leaf state the
+fused probes depend on (``n_keys``, conflict degree, detached or not) is
+re-read before each fused op for exactly the leaves a scalar write —
+the plan's own continuation included — has touched since its last op
+(see :meth:`BatchQueryPlan.sync_leaves`). Only the index's current plan may
 execute writes — building a new plan rebinds the leaves' storage onto the
 new store.
 
@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from ..analysis.contracts import declared_contract
-from ..baselines.interfaces import ABSENT, DuplicateKeyError
+from ..baselines.interfaces import ABSENT
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .node import InnerNode, LeafNode, Node
@@ -133,9 +133,11 @@ class BatchQueryPlan:
     The *topology* arrays are immutable; ``store_keys``/``store_values``
     are the live leaf storage (leaves hold views into them), and
     ``leaf_n``/``leaf_cd``/``leaf_detached`` mirror the live leaves: the
-    write executors maintain them for their own writes, and
-    :meth:`sync_leaves` re-reads them after writes made elsewhere, so one
-    plan serves every read/write batch until the topology changes.
+    vector lanes maintain them for their own writes, every scalar write
+    (the plan's own continuation included) records its leaf in the
+    index's written set, and :meth:`sync_leaves` re-reads those before
+    the next fused op, so one plan serves every read/write batch until
+    the topology changes.
     """
 
     __slots__ = (
@@ -198,9 +200,10 @@ class BatchQueryPlan:
         self.root_code = _HOLE
 
     def sync_leaves(self, written: Iterable[LeafNode]) -> None:
-        """Re-read the live state of plan leaves written outside the plan.
+        """Re-read the live state of plan leaves written by scalar ops.
 
-        Scalar writes land in the leaves directly: they change
+        Scalar writes (the plan's own continuation included) land in the
+        leaves directly: they change
         a leaf's ``n_keys`` and conflict degree, and a rehash detaches it.
         A stale conflict degree would make the probe window miss stored
         keys, and a stale ``n_keys`` would move the insert load trigger.
@@ -256,6 +259,17 @@ class BatchQueryPlan:
         return cur, depth, hole_parent, hole_rank
 
     @declared_contract("counter_neutral")
+    def _raw_homes(self, k: np.ndarray, lids: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        """Vectorised Eq. 2: each key's home slot in its plan leaf
+        (``caps`` is ``leaf_cap[lids]``), bit-identical to the scalar
+        :meth:`ErrorBoundedHash._raw_home_slot`."""
+        span = self.leaf_span[lids]
+        den = np.where(span > 0.0, span, 1.0)
+        scaled = caps * (k - self.leaf_low[lids]) / den
+        homes = np.floor(self.leaf_alpha[lids] * scaled).astype(np.int64) % caps
+        return np.where(span > 0.0, homes, 0)
+
+    @declared_contract("counter_neutral")
     def _raw_locate(
         self, karr: np.ndarray, sel: np.ndarray, lids: np.ndarray
     ) -> tuple[
@@ -279,13 +293,8 @@ class BatchQueryPlan:
         """
         k = karr[sel]
         r = int(sel.size)
-        low = self.leaf_low[lids]
-        span = self.leaf_span[lids]
         caps = self.leaf_cap[lids]
-        den = np.where(span > 0.0, span, 1.0)
-        scaled = caps * (k - low) / den
-        homes = np.floor(self.leaf_alpha[lids] * scaled).astype(np.int64) % caps
-        homes = np.where(span > 0.0, homes, 0)
+        homes = self._raw_homes(k, lids, caps)
         limits = np.minimum(self.leaf_cd[lids], caps // 2)
         offs = self.leaf_off[lids]
         found = np.zeros(r, dtype=bool)
@@ -332,6 +341,63 @@ class BatchQueryPlan:
 
     # -- execution ------------------------------------------------------------
 
+    def _fused_keys(self, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split a fused descent's keys between the vector probe and the
+        scalar continuation.
+
+        Returns ``(sel, lids, rest)``: the positions of the keys that
+        reached an attached plan leaf and those leaves' ids, then the
+        positions, in batch order, of every other key — a detached leaf's
+        or a hole's (:meth:`_resume` finishes them).
+        """
+        sel = np.flatnonzero(cur < 0)
+        lids = -cur[sel] - 1
+        det = self.leaf_detached[lids]
+        if det.any():
+            sel = sel[~det]
+            lids = lids[~det]
+        elif sel.size == cur.size:
+            return sel, lids, sel[:0]
+        rest = np.ones(cur.size, dtype=bool)
+        rest[sel] = False
+        return sel, lids, np.flatnonzero(rest)
+
+    def _resume(
+        self,
+        karr: np.ndarray,
+        cur: np.ndarray,
+        hole_parent: np.ndarray,
+        hole_rank: np.ndarray,
+        rest: np.ndarray,
+    ) -> list[tuple[int, float, list[tuple[InnerNode, int]]]]:
+        """``(position, key, slot)`` for each key in ``rest``, where ``slot``
+        is the one-slot path at which the fused descent stopped: its leaf's
+        ``(parent, rank)``, the hole's, or ``[]`` for a root leaf.
+
+        The scalar walk resumed there (:meth:`ChameleonIndex._descend_lower`)
+        re-reads the live pointer, so a leaf still in place costs no hop, a
+        leaf that split earlier in the batch walks (and charges) its new
+        subtree, and a hole answers "absent" unless an insert has filled it;
+        the hops down to the slot are the fused descent's ``depth``.
+        """
+        if not rest.size:
+            return []
+        c = cur[rest]
+        parent = hole_parent[rest]
+        rank = hole_rank[rest]
+        at_leaf = c < 0
+        if at_leaf.any():
+            lids = -c[at_leaf] - 1
+            parent[at_leaf] = self.leaf_parent[lids]
+            rank[at_leaf] = self.leaf_rank[lids]
+        inners = self.inners
+        return [
+            (i, k, [] if p < 0 else [(inners[p], r)])
+            for i, k, p, r in zip(
+                rest.tolist(), karr[rest].tolist(), parent.tolist(), rank.tolist()
+            )
+        ]
+
     def lookup(self, index: "ChameleonIndex", karr: np.ndarray) -> list[Any | None]:
         """Fused lookup of a key vector; results aligned with ``karr``.
 
@@ -348,17 +414,7 @@ class BatchQueryPlan:
             d = int(depth.sum())
             counters.node_hops += d
             counters.model_evals += d
-            sel = np.flatnonzero(cur < 0)
-            lids = -cur[sel] - 1
-            det = self.leaf_detached[lids]
-            if det.any():
-                # A rehashed leaf no longer aliases the plan store; its
-                # keys run the live scalar probe instead (identical
-                # accounting, the descent is already charged).
-                for i, lid in zip(sel[det].tolist(), lids[det].tolist()):
-                    out[i] = self.leaves[lid].ebh.lookup(float(karr[i]))
-                sel = sel[~det]
-                lids = lids[~det]
+            sel, lids, rest = self._fused_keys(cur)
             if sel.size:
                 counters.model_evals += int(sel.size)
                 found, abs_slot, match_off, match_minus, _, limits, caps, _ = (
@@ -375,26 +431,11 @@ class BatchQueryPlan:
                 vals = self.store_values[abs_slot[found]]
                 for i, v in zip(sel[found].tolist(), vals.tolist()):
                     out[i] = v
-            for i in np.flatnonzero(cur == _HOLE).tolist():
-                # The plan recorded no leaf here when it was built. The
-                # scalar walk below the slot re-reads the live pointer: an
-                # insert (or a retrainer swap) may have filled it since; a
-                # slot still empty answers "absent". Counting stays exact —
-                # the fused loop already charged the hops down to this node.
-                k = float(karr[i])
-                leaf, _ = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
+            for i, k, slot in self._resume(karr, cur, hole_parent, hole_rank, rest):
+                leaf = index._descend_lower(k, slot)[0]
                 if leaf is not None:
                     out[i] = leaf.ebh.lookup(k)
             return out
-
-    def _slot(self, parent: Any, rank: Any) -> list[tuple[InnerNode, int]]:
-        """The one-slot upper path that resumes a scalar walk below ``parent``."""
-        return [(self.inners[int(parent)], int(rank))]
-
-    def _leaf_path(self, lid: int) -> list[tuple[InnerNode, int]]:
-        """The one-slot path to plan leaf ``lid``'s slot (``[]``: the root)."""
-        p = int(self.leaf_parent[lid])
-        return [] if p < 0 else self._slot(p, self.leaf_rank[lid])
 
     def insert(
         self,
@@ -404,47 +445,22 @@ class BatchQueryPlan:
     ) -> None:
         """Fused insert of a key vector, counter-identical to the stream.
 
-        One gathered descent routes every key and one vectorised Eq. 2
-        pass computes every home slot. In a duplicate-certified batch each
-        leaf's first key takes the first free slot of its cd window from
-        one ragged gather (:meth:`_insert_certified`); other keys replay
-        the scalar outward scan in stream order against the shared store — an
-        occupancy *simulation* like :meth:`ErrorBoundedHash.place`, but
-        probing slot values directly so duplicate detection,
-        nearest-free-slot choice, probe totals, and conflict-degree growth
-        are the scalar loop's, operation for operation. Per-leaf
-        bookkeeping (``n_keys``, ``update_count``, the plan's load/cd
-        state) accumulates in plain dicts and is flushed once per leaf.
-
-        Keys the fast path cannot take — a load-trigger point, a leaf
-        that rehashed (detached) or split (dirty) earlier in the batch, a
-        hole in the plan — drop to the scalar per-key logic at their turn
-        in the stream, with their pending leaf state flushed first, so
-        splits and rehashes happen at exactly the scalar stream's points.
-        A duplicate key raises mid-batch with every earlier key applied
-        and exactly the scalar stream's counter prefix.
+        One gathered descent routes every key. In a duplicate-certified
+        batch each leaf's first key takes the first free slot of its cd
+        window from one ragged gather (:meth:`_insert_certified`). Every
+        other key — a leaf's later keys, a load-trigger point, a full
+        window, a detached leaf, a hole, or the whole of an uncertified
+        batch — then runs the scalar insert below the slot its fused
+        descent reached (:meth:`_resume`), in stream order, so splits,
+        rehashes, cd growth and every counter land at exactly the scalar
+        stream's points. A duplicate key raises mid-batch with every
+        earlier key applied and exactly the scalar stream's counter prefix.
         """
         counters = index.counters
         m = int(karr.size)
         with obs_trace.span("plan.insert").put("n", m) as sp:
             cur, depth, hole_parent, hole_rank = self._raw_descend(karr)
-            sel = np.flatnonzero(cur < 0)
-            all_lids = -cur[sel] - 1
-            detached = self.leaf_detached
-            att = ~detached[all_lids]
-            asel = sel[att]
-            alids = all_lids[att]
-            homes_full = np.zeros(m, dtype=np.int64)
-            if asel.size:
-                k = karr[asel]
-                low = self.leaf_low[alids]
-                span = self.leaf_span[alids]
-                caps = self.leaf_cap[alids]
-                den = np.where(span > 0.0, span, 1.0)
-                h = np.floor(
-                    self.leaf_alpha[alids] * (caps * (k - low) / den)
-                ).astype(np.int64) % caps
-                homes_full[asel] = np.where(span > 0.0, h, 0)
+            rest = None
             # Duplicate certificate: a stored key always sits within its
             # leaf's cd window (cd is the max placement offset since the
             # last rehash), so batch uniqueness plus a window check per
@@ -453,89 +469,95 @@ class BatchQueryPlan:
             # are independent in every observable — which unlocks the
             # vectorised first-key lane. The lane's own gather covers its
             # keys' windows, so only the residue needs the
-            # counter-neutral pre-probe here; anything uncertified
-            # replays the exact stream (mid-batch raise with the scalar
-            # prefix applied).
+            # counter-neutral pre-probe here; anything uncertified runs
+            # the exact stream (mid-batch raise with the scalar prefix
+            # applied).
             ks = np.sort(karr)
-            certified = int(sel.size) == m and not (ks[1:] == ks[:-1]).any()
-            if certified:
+            if (cur < 0).all() and not (ks[1:] == ks[:-1]).any():
+                lids = -cur - 1
+                att = ~self.leaf_detached[lids]
                 # First occurrence per leaf, batch order: scatter positions
                 # reversed so the earliest write wins per leaf id.
                 pos = np.full(len(self.leaves), -1, dtype=np.int64)
-                pos[all_lids[::-1]] = np.arange(m - 1, -1, -1, dtype=np.int64)
-                first = pos[all_lids] == np.arange(m)
+                pos[lids[::-1]] = np.arange(m - 1, -1, -1, dtype=np.int64)
+                first = pos[lids] == np.arange(m)
                 trig = (
-                    self.leaf_n[all_lids] + 1
-                ) / self.leaf_cap[all_lids] > index.config.max_leaf_load
+                    self.leaf_n[lids] + 1
+                ) / self.leaf_cap[lids] > index.config.max_leaf_load
                 vect = first & att & ~trig
                 sidx = np.flatnonzero(~vect)
                 satt = sidx[att[sidx]]
-                if satt.size:
-                    found = self._raw_locate(karr, satt, all_lids[satt])[0]
-                    certified = not found.any()
+                certified = (
+                    not satt.size
+                    or not self._raw_locate(karr, satt, lids[satt])[0].any()
+                )
                 if certified:
                     for j in sidx[~att[sidx]].tolist():
-                        lid = int(all_lids[j])
-                        if (self.leaves[lid].ebh._keys == karr[j]).any():
+                        if (self.leaves[int(lids[j])].ebh._keys == karr[j]).any():
                             certified = False
                             break
                 if obs_trace.ACTIVE is not None:
                     # The pre-probe gathers the residue's windows; the
                     # lane gathers the first keys' too when it runs.
-                    g = alids if certified else all_lids[satt]
+                    g = lids[att] if certified else lids[satt]
                     lim = np.minimum(self.leaf_cd[g], self.leaf_cap[g] // 2)
                     sp.put("window_slots", int(_window_len(lim, self.leaf_cap[g]).sum()))
-                if certified and self._insert_certified(
-                    index, karr, vals, cur, depth, hole_parent, hole_rank,
-                    homes_full, all_lids, vect,
-                ):
-                    return
-            self._insert_stream(
-                index, karr, vals, cur, depth, hole_parent, hole_rank,
-                homes_full, all_lids,
-            )
+                if certified:
+                    rest = self._insert_certified(index, karr, vals, depth, lids, vect)
+            if rest is None:
+                rest = np.arange(m)
+            for (i, key, slot), d in zip(
+                self._resume(karr, cur, hole_parent, hole_rank, rest),
+                depth[rest].tolist(),
+            ):
+                # The fused descent's hops down to the slot, charged key by
+                # key as the scalar walk charges them: a raise leaves the
+                # stream's exact counter prefix.
+                counters.node_hops += d
+                counters.model_evals += d
+                leaf, path = index._descend_lower(key, slot)
+                index._insert_at_leaf(key, key if vals is None else vals[i], leaf, path)
 
     def _insert_certified(
         self,
         index: "ChameleonIndex",
         karr: np.ndarray,
         vals: "list[Any] | None",
-        cur: np.ndarray,
         depth: np.ndarray,
-        hole_parent: np.ndarray,
-        hole_rank: np.ndarray,
-        homes_full: np.ndarray,
-        all_lids: np.ndarray,
+        lids: np.ndarray,
         vect: np.ndarray,
-    ) -> bool:
+    ) -> np.ndarray | None:
         """Vectorised lane for a duplicate-certified, hole-free batch.
 
         Each leaf's first key — the bulk of a batch spread over many
         leaves — takes the first free slot of its cd window from one
         ragged gather (:meth:`_raw_free_slots`): the scalar outward scan's
         free-slot choice and probe count, committed with one scatter. A
-        slot inside the window never grows cd. Later keys of a leaf,
+        slot inside the window never grows cd. Returns the positions of
+        the keys left for the scalar continuation: later keys of a leaf,
         load-trigger points, detached leaves and first keys whose window
-        is full fall through to the scalar sim afterwards, preserving each
+        is full. Each comes after its leaf's lane key, if any, so each
         leaf's stream order — the only order the scalar observables depend
-        on. The gather doubles as the lane's duplicate check (a stored key
-        sits inside its window); finding one aborts before anything is
-        written and the caller replays the exact stream — returns False in
-        that case.
+        on — holds. The gather doubles as the lane's duplicate check (a stored
+        key sits inside its window); finding one aborts before anything is
+        written and returns None, and the caller runs the exact stream.
         """
         counters = index.counters
         leaves = self.leaves
         vidx = np.flatnonzero(vect)
         if vidx.size:
-            lids_v = all_lids[vidx]
-            lane = self._raw_free_slots(karr[vidx], lids_v, homes_full[vidx])
+            lids_v = lids[vidx]
+            kv = karr[vidx]
+            lane = self._raw_free_slots(
+                kv, lids_v, self._raw_homes(kv, lids_v, self.leaf_cap[lids_v])
+            )
             if lane is None:
-                return False
+                return None
             has, abs_slots, _, probes = lane
             if has.size < vidx.size:
                 # A full window: the free slot lies past cd, where the
                 # scan also grows cd. The key is its leaf's first, so it
-                # joins the stream ahead of the leaf's later keys.
+                # resumes ahead of the leaf's later keys.
                 vect = vect.copy()
                 vect[vidx] = False
                 vidx = vidx[has]
@@ -564,209 +586,7 @@ class BatchQueryPlan:
                     drift[leaves[lid]] = None
             index._n += r
             index.updates_since_build += r
-        slow = np.flatnonzero(~vect)
-        if slow.size:
-            vals_s = (
-                None if vals is None else [vals[j] for j in slow.tolist()]
-            )
-            self._insert_stream(
-                index, karr[slow], vals_s, cur[slow], depth[slow],
-                hole_parent[slow], hole_rank[slow], homes_full[slow],
-                all_lids[slow],
-            )
-        return True
-
-    def _insert_stream(
-        self,
-        index: "ChameleonIndex",
-        karr: np.ndarray,
-        vals: "list[Any] | None",
-        cur: np.ndarray,
-        depth: np.ndarray,
-        hole_parent: np.ndarray,
-        hole_rank: np.ndarray,
-        homes_full: np.ndarray,
-        all_lids: np.ndarray,
-    ) -> None:
-        counters = index.counters
-        leaves = self.leaves
-        max_load = index.config.max_leaf_load
-        keys_l = karr.tolist()
-        codes = cur.tolist()
-        depth_l = depth.tolist()
-        homes_l = homes_full.tolist()
-        detached = self.leaf_detached
-        # Per-leaf simulation state. The placement loop probes each leaf's
-        # own arrays (for attached leaves those are views into the plan
-        # store, so the fused gather paths see every write), which lets
-        # detached leaves sim exactly like attached ones — their home slots
-        # just come from the live model instead of the precomputed vector
-        # (``stale_home``).
-        ka_d: dict[int, np.ndarray] = {}
-        va_d: dict[int, np.ndarray] = {}
-        if all_lids.size:
-            ulids = np.unique(all_lids)
-            att_u = ulids[~detached[ulids]]
-            al = att_u.tolist()
-            cap_d = dict(zip(al, self.leaf_cap[att_u].tolist()))
-            cd_d = dict(zip(al, self.leaf_cd[att_u].tolist()))
-            n_d = dict(zip(al, self.leaf_n[att_u].tolist()))
-            stale_home = set(ulids[detached[ulids]].tolist())
-            for lid in stale_home:
-                e = leaves[lid].ebh
-                cap_d[lid] = e.capacity
-                cd_d[lid] = e.conflict_degree
-                n_d[lid] = e.n_keys
-            for lid in ulids.tolist():
-                e = leaves[lid].ebh
-                ka_d[lid] = e._keys
-                va_d[lid] = e._values
-        else:
-            cap_d = cd_d = n_d = {}
-            stale_home = set()
-        base_n = dict(n_d)
-        blocked: set[int] = set()
-        # Local counter accumulators: flushed exactly once, including on
-        # the duplicate-raise path, so totals match the scalar prefix.
-        hops = 0
-        evals = 0
-        probes_acc = 0
-        landed = 0
-
-        ebhs = self.leaf_ebhs
-
-        def flush_leaf(lid: int) -> None:
-            nonlocal landed
-            e = ebhs[lid]
-            delta = n_d[lid] - base_n[lid]
-            if delta:
-                e.n_keys += delta
-                leaves[lid].update_count += delta
-                if index._drift is not None:
-                    index._drift[leaves[lid]] = None
-                landed += delta
-            if cd_d[lid] != e.conflict_degree:
-                e.conflict_degree = cd_d[lid]
-
-        try:
-            for j in range(int(karr.size)):
-                code = codes[j]
-                key = keys_l[j]
-                value = key if vals is None else vals[j]
-                if code < 0:
-                    lid = -code - 1
-                    if lid not in blocked:
-                        cap = cap_d[lid]
-                        n0 = n_d[lid]
-                        if (n0 + 1) / cap <= max_load:
-                            # Scalar ebh.insert, replayed on the leaf's
-                            # arrays: dup check before free check at every
-                            # probed slot, plus-then-minus within each
-                            # offset, stop once a free slot is known and
-                            # the cd window is cleared.
-                            d = depth_l[j]
-                            hops += d
-                            evals += d + 1
-                            if lid in stale_home:
-                                home = leaves[lid].ebh._raw_home_slot(key)
-                            else:
-                                home = homes_l[j]
-                            ka = ka_d[lid]
-                            va = va_d[lid]
-                            cd = cd_d[lid]
-                            probes = 0
-                            free_slot = -1
-                            free_offset = -1
-                            for offset in range(cap // 2 + 1):
-                                s = (home + offset) % cap
-                                probes += 1
-                                stored = ka[s]
-                                if stored == key:
-                                    probes_acc += probes
-                                    raise DuplicateKeyError(
-                                        f"key already present: {key!r}"
-                                    )
-                                if free_slot < 0 and stored != stored:
-                                    free_slot, free_offset = s, offset
-                                if offset and 2 * offset != cap:
-                                    s2 = (home - offset) % cap
-                                    probes += 1
-                                    stored = ka[s2]
-                                    if stored == key:
-                                        probes_acc += probes
-                                        raise DuplicateKeyError(
-                                            f"key already present: {key!r}"
-                                        )
-                                    if free_slot < 0 and stored != stored:
-                                        free_slot, free_offset = s2, offset
-                                if free_slot >= 0 and offset >= cd:
-                                    break
-                            probes_acc += probes
-                            ka[free_slot] = key
-                            va[free_slot] = value
-                            n_d[lid] = n0 + 1
-                            if free_offset > cd:
-                                cd_d[lid] = free_offset
-                            continue
-                        # Load trigger: sync this leaf's pending state and
-                        # run the scalar maintenance + insert at its exact
-                        # stream position. Unless the leaf split away, the
-                        # sim resumes from the leaf's post-maintenance
-                        # state — a rehashed leaf continues on its new
-                        # arrays with live-model home slots.
-                        flush_leaf(lid)
-                        del n_d[lid], base_n[lid]
-                        hops += depth_l[j]
-                        evals += depth_l[j]
-                        _, split_done, rehash_done = index._insert_at_leaf(
-                            key, value, leaves[lid], self._leaf_path(lid)
-                        )
-                        if split_done:
-                            blocked.add(lid)
-                            continue
-                        e = leaves[lid].ebh
-                        if rehash_done:
-                            self.leaf_detached[lid] = True
-                            stale_home.add(lid)
-                            ka_d[lid] = e._keys
-                            va_d[lid] = e._values
-                        else:
-                            self.leaf_cd[lid] = e.conflict_degree
-                            self.leaf_n[lid] = e.n_keys
-                        cap_d[lid] = e.capacity
-                        cd_d[lid] = e.conflict_degree
-                        n_d[lid] = base_n[lid] = e.n_keys
-                        continue
-                    # Split earlier in the batch: the plan's leaf routing
-                    # is stale, so continue from the recorded parent slot.
-                    p = int(self.leaf_parent[lid])
-                    if p < 0:
-                        # A root leaf became a subtree: full re-descent,
-                        # whose pre-charged depth was zero.
-                        index._insert_locked(key, value)
-                        continue
-                    slot = self._slot(p, self.leaf_rank[lid])
-                else:
-                    slot = self._slot(hole_parent[j], hole_rank[j])
-                # The fused descent pre-charged the hops down to the slot;
-                # the scalar walk below it charges the rest.
-                hops += depth_l[j]
-                evals += depth_l[j]
-                leaf, path = index._descend_lower(key, slot)
-                index._insert_at_leaf(key, value, leaf, path)
-        finally:
-            counters.node_hops += hops
-            counters.model_evals += evals
-            counters.slot_probes += probes_acc
-            for lid in n_d:
-                flush_leaf(lid)
-                if not detached[lid]:
-                    self.leaf_n[lid] = n_d[lid]
-                    if cd_d[lid] != self.leaf_cd[lid]:
-                        self.leaf_cd[lid] = cd_d[lid]
-            if landed:
-                index._n += landed
-                index.updates_since_build += landed
+        return np.flatnonzero(~vect)
 
     def delete(self, index: "ChameleonIndex", karr: np.ndarray) -> list[bool]:
         """Fused delete of a (duplicate-free) key vector.
@@ -774,13 +594,14 @@ class BatchQueryPlan:
         One gathered descent plus one fused window probe locate every
         key's slot; the hits are cleared with one vector store. Deletes
         never trigger maintenance and never change the conflict degree,
-        so the whole batch fuses — only detached leaves and plan holes
-        run the scalar continuation. A leaf the batch empties is reclaimed
-        (its slot becomes a hole), as the scalar stream reclaims it at its
-        last hit; a later key of the batch that misses there is charged as
-        a hole miss, its hops only. Counter totals match the scalar stream
-        exactly (the closed-form probe counts of the outward scan); flags
-        are positionally aligned with ``karr``.
+        so the whole batch fuses — only keys at detached leaves and plan
+        holes resume the scalar delete below their slot (:meth:`_resume`).
+        A leaf the batch empties is reclaimed (its slot becomes a hole),
+        as the scalar stream reclaims it at its last hit; a later key of
+        the batch that misses there is charged as a hole miss, its hops
+        only. Counter totals match the scalar stream exactly (the
+        closed-form probe counts of the outward scan); flags are
+        positionally aligned with ``karr``.
         """
         counters = index.counters
         m = int(karr.size)
@@ -790,21 +611,7 @@ class BatchQueryPlan:
             d = int(depth.sum())
             counters.node_hops += d
             counters.model_evals += d
-            sel = np.flatnonzero(cur < 0)
-            if sel.size:
-                lids = -cur[sel] - 1
-                det = self.leaf_detached[lids]
-                if det.any():
-                    for i, lid in zip(sel[det].tolist(), lids[det].tolist()):
-                        # Re-read the leaf's slot: an earlier key of the
-                        # batch may have emptied and reclaimed it.
-                        k = float(karr[i])
-                        path = self._leaf_path(lid)
-                        leaf = index._descend_lower(k, path)[0] if path else self.leaves[lid]
-                        out[i] = index._delete_at_leaf(k, leaf, path) is not ABSENT
-                    keep = ~det
-                    sel = sel[keep]
-                    lids = lids[keep]
+            sel, lids, rest = self._fused_keys(cur)
             if sel.size:
                 found, abs_slot, match_off, match_minus, _, limits, caps, _ = (
                     self._raw_locate(karr, sel, lids)
@@ -846,13 +653,16 @@ class BatchQueryPlan:
                         live = sel <= gone_at[lids]
                         sel = sel[live]
                         probes = probes[live]
-                        for lid in emptied.tolist():
-                            index._reclaim(self._leaf_path(lid)[0])
+                        inners = self.inners
+                        for p, r in zip(
+                            self.leaf_parent[emptied].tolist(),
+                            self.leaf_rank[emptied].tolist(),
+                        ):
+                            index._reclaim((inners[p], r))
                 counters.model_evals += int(sel.size)
                 counters.slot_probes += int(probes.sum())
-            for i in np.flatnonzero(cur == _HOLE).tolist():
-                k = float(karr[i])
-                leaf, path = index._descend_lower(k, self._slot(hole_parent[i], hole_rank[i]))
+            for i, k, slot in self._resume(karr, cur, hole_parent, hole_rank, rest):
+                leaf, path = index._descend_lower(k, slot)
                 out[i] = index._delete_at_leaf(k, leaf, path) is not ABSENT
             return out.tolist()
 

@@ -3,16 +3,18 @@
 The construction agents need cheap estimates of (a) expected query cost and
 (b) memory cost of a candidate structure — these are the two components of
 the reward (Section IV-B2) and of DARE's Dynamic Reward Function. The model
-here mirrors the complexity analysis of Section V-B: query cost is tree
-depth plus the EBH probe expectation; memory cost is modelled bytes per key.
+here mirrors the complexity analysis of Section V-B: :func:`leaf_cost` and
+:func:`split_step_cost` price one leaf (the EBH probe expectation) and one
+inner-node step (a hop plus its pointer array) before any node exists,
+and :func:`measured_structure_cost` prices a built subtree — depth plus
+each leaf's measured probe cost, bytes per key — for the retrainer's
+accept gate.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
-
 from .config import ChameleonConfig
 from .node import LeafNode, Node
 
@@ -70,46 +72,13 @@ def split_step_cost(fanout: int, n_keys: int) -> tuple[float, float]:
     return query, memory
 
 
-def structure_cost(root: Node, config: ChameleonConfig) -> tuple[float, float]:
-    """Exact (query, memory) cost of a built subtree.
-
-    Query cost is the key-weighted average of (depth + expected leaf
-    probes); memory cost is total modelled bytes per key. Used as the
-    ground-truth reward when instantiating Chameleon-Index during training
-    (Algorithm 2 line 11) and as DARE's analytic fitness fallback.
-    """
-    total_keys = 0
-    query_weight = 0.0
-    size = 0
-    stack: list[tuple[Node, int]] = [(root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        size += node.size_bytes()
-        if isinstance(node, LeafNode):
-            n = node.n_keys
-            total_keys += n
-            probe = expected_probe_cost(n, node.ebh.capacity) + cache_penalty(
-                node.ebh.capacity
-            )
-            query_weight += n * (depth + probe)
-        else:
-            for child in node.children:
-                if child is not None:
-                    stack.append((child, depth + 1))
-    if total_keys == 0:
-        return 1.0, 1.0
-    query = query_weight / total_keys / QUERY_COST_SCALE
-    memory = size / total_keys / MEMORY_COST_SCALE
-    return query, memory
-
-
 def measured_structure_cost(root: Node, config: ChameleonConfig) -> tuple[float, float]:
     """(query, memory) cost using each leaf's *measured* EBH offsets.
 
-    Unlike :func:`structure_cost`, which assumes uniform hashing, this uses
-    the leaves' actual error statistics — a drifted leaf whose hash no
-    longer fits its keys shows its true probe cost here. Used by the
-    retrainer to decide whether a rebuilt subtree is an improvement.
+    Unlike the uniform-hashing estimate of :func:`expected_probe_cost`,
+    this uses the leaves' actual error statistics — a drifted leaf whose
+    hash no longer fits its keys shows its true probe cost here. Used by
+    the retrainer to decide whether a rebuilt subtree is an improvement.
     """
     total_keys = 0
     query_weight = 0.0
@@ -133,30 +102,3 @@ def measured_structure_cost(root: Node, config: ChameleonConfig) -> tuple[float,
     query = query_weight / total_keys / QUERY_COST_SCALE
     memory = size / total_keys / MEMORY_COST_SCALE
     return query, memory
-
-
-def measured_lookup_cost(root: Node) -> float:
-    """Key-weighted mean structural lookup cost (hops + probes) of a tree.
-
-    A counter-free analytic companion to the workload driver, used in
-    benches that compare construction policies without running queries.
-    """
-    total_keys = 0
-    weight = 0.0
-    for depth, leaf in _leaves_with_depth(root):
-        n = leaf.n_keys
-        total_keys += n
-        weight += n * (depth + expected_probe_cost(n, leaf.ebh.capacity))
-    return weight / total_keys if total_keys else 0.0
-
-
-def _leaves_with_depth(root: Node) -> Iterator[tuple[int, LeafNode]]:
-    stack: list[tuple[Node, int]] = [(root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, LeafNode):
-            yield depth, node
-        else:
-            for child in node.children:
-                if child is not None:
-                    stack.append((child, depth + 1))

@@ -349,9 +349,9 @@ class ChameleonIndex(BaseIndex):
 
         Without a lock manager, batches of at least ``_FUSED_MIN`` keys run
         through the flattened plan: one gathered descent groups keys by
-        leaf, collision-free keys scatter into their home slots in bulk,
-        and only the colliding or load-triggering residue replays the
-        scalar trigger logic — splits and rehashes still fire at exactly
+        leaf, each leaf's first key scatters into its cd window in bulk,
+        and the residue resumes the scalar insert below the slot its
+        descent reached — splits and rehashes still fire at exactly
         the sequential load trajectory's points, so counters stay
         bit-identical to the one-at-a-time stream. Every other batch
         (smaller ones, locked ones, and every batch while faults are

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.config import ChameleonConfig
-from ..core.costs import leaf_cost, split_step_cost, cache_penalty
+from ..core.costs import leaf_cost, split_step_cost
 from ..core.features import node_state
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -219,8 +219,6 @@ class MARLTrainer:
             terminal = fanout <= 1 or fanout >= n or depth >= 3 or high <= low
             if terminal:
                 q, m = leaf_cost(n, config)
-                capacity = config.theorem1_capacity(n)
-                q = q + cache_penalty(capacity) / 8.0
                 reward = -(weights.query * q + weights.memory * m)
                 self.tsmdp.remember(state, self.tsmdp.action_index_for(1), reward, [], [])
                 return

@@ -10,10 +10,8 @@ from repro.core.costs import (
     cache_penalty,
     expected_probe_cost,
     leaf_cost,
-    measured_lookup_cost,
     measured_structure_cost,
     split_step_cost,
-    structure_cost,
 )
 from repro.datasets import face_like
 
@@ -62,11 +60,14 @@ class TestLeafAndSplitCosts:
 
 
 class TestStructureCost:
+    """:func:`measured_structure_cost`, the retrainer gate's price of a
+    built subtree."""
+
     def test_leaf_only(self, config):
         counters = Counters()
         keys = np.linspace(0, 100, 50)
         leaf = make_leaf(keys, list(keys), 0.0, 101.0, config, counters)
-        q, m = structure_cost(leaf, config)
+        q, m = measured_structure_cost(leaf, config)
         assert q > 0 and m > 0
 
     def test_tree_query_cost_reflects_depth(self, config):
@@ -76,8 +77,8 @@ class TestStructureCost:
                             float(keys[-1]) + 1, config, counters)
         leaf = make_leaf(keys, list(keys), float(keys[0]),
                          float(keys[-1]) + 1, config, counters)
-        q_tree, _ = structure_cost(tree, config)
-        q_leaf, _ = structure_cost(leaf, config)
+        q_tree, _ = measured_structure_cost(tree, config)
+        q_leaf, _ = measured_structure_cost(leaf, config)
         # The tree pays hops but smaller leaves; both must be sane.
         assert 0 < q_tree < 5
         assert 0 < q_leaf < 5
@@ -85,11 +86,11 @@ class TestStructureCost:
     def test_empty_structure(self, config):
         counters = Counters()
         leaf = make_leaf(np.empty(0), [], 0.0, 1.0, config, counters)
-        assert structure_cost(leaf, config) == (1.0, 1.0)
+        assert measured_structure_cost(leaf, config) == (1.0, 1.0)
 
     def test_measured_cost_sees_real_conflicts(self, config):
-        """A leaf with a badly fitted hash must look expensive to the
-        measured variant even though the uniform estimate is blind to it."""
+        """A leaf with a badly fitted hash must look expensive even though
+        it holds the same keys at the same capacity as a well-fitted one."""
         counters = Counters()
         from repro.core.ebh import ErrorBoundedHash
         from repro.core.node import LeafNode
@@ -105,13 +106,3 @@ class TestStructureCost:
         q_bad, _ = measured_structure_cost(bad_leaf, config)
         q_good, _ = measured_structure_cost(good_leaf, config)
         assert q_bad > q_good
-        # The uniform estimate cannot tell them apart (same n, capacity).
-        assert structure_cost(bad_leaf, config)[0] == pytest.approx(
-            structure_cost(good_leaf, config)[0]
-        )
-
-    def test_measured_lookup_cost_smoke(self, config):
-        counters = Counters()
-        keys = np.linspace(0, 100, 200)
-        tree = build_greedy(keys, list(keys), 0.0, 101.0, config, counters)
-        assert measured_lookup_cost(tree) > 1.0

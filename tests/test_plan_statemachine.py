@@ -13,8 +13,10 @@ its window fills, and the batch ops then run over that span. A
 scalar-only twin replays every step one key at a time, and a dict oracle
 holds the expected contents. After every step the results match the
 oracle, the structural counters match the twin's bit for bit (lock
-counters aside, as in test_batch_ops.py), and no non-root leaf is empty;
-reads and absent deletes change neither tree's size. At teardown both
+counters aside, as in test_batch_ops.py), no non-root leaf is empty, and
+the current plan's per-leaf mirrors (``leaf_n``, ``leaf_cd``,
+``leaf_detached``) match every leaf no write has logged since its last
+op; reads and absent deletes change neither tree's size. At teardown both
 trees pass ``verify_integrity``.
 
 The same rules run twice: on bare indexes, where batches take the fused
@@ -337,6 +339,25 @@ class PlanMachine(RuleBasedStateMachine):
         for ix in (self.fused, self.twin):
             if not isinstance(ix._root, LeafNode):
                 assert all(leaf.n_keys for leaf in walk_leaves(ix._root))
+
+    @invariant()
+    def plan_mirrors_match_live_leaves(self) -> None:
+        """The write-log contract the fused ops rely on: while the plan is
+        current, every plan leaf no write has logged since its last op
+        reads as the plan mirrors it."""
+        ix = self.fused
+        plan = ix._batch_plan
+        if plan is None or plan.version != ix._plan_version():
+            return
+        for lid, leaf in enumerate(plan.leaves):
+            if leaf in ix._written_leaves:
+                continue
+            e = leaf.ebh
+            detached = e._keys.base is not plan.store_keys
+            assert bool(plan.leaf_detached[lid]) == detached
+            if not detached:
+                assert int(plan.leaf_n[lid]) == e.n_keys
+                assert int(plan.leaf_cd[lid]) == e.conflict_degree
 
     @invariant()
     def no_lock_races(self) -> None:

@@ -94,3 +94,41 @@ class TestTraining:
         index.bulk_load(keys)
         for k in keys[::17]:
             assert index.lookup(float(k)) == k
+
+
+def test_terminal_reward_is_the_leaf_cost(small_config, monkeypatch):
+    """A terminal TSMDP transition is rewarded ``-(w_q·q + w_m·m)`` for
+    ``leaf_cost(n)``, whose query term already carries the cache penalty."""
+    from repro.core.costs import leaf_cost
+    from repro.rl import trainer as trainer_mod
+    from repro.rl.rewards import RewardWeights
+
+    trainer = MARLTrainer(
+        config=small_config,
+        dataset_factory=default_dataset_factory(sizes=(400,)),
+        seed=4,
+    )
+    sizes = []
+
+    def spy_cost(n, config):
+        sizes.append(n)
+        return leaf_cost(n, config)
+
+    terminal = []
+    remember = trainer.tsmdp.remember
+
+    def spy_remember(state, action_index, reward, child_states, child_weights):
+        if not child_states:
+            terminal.append((sizes[-1], reward))
+        remember(state, action_index, reward, child_states, child_weights)
+
+    monkeypatch.setattr(trainer_mod, "leaf_cost", spy_cost)
+    monkeypatch.setattr(trainer.tsmdp, "remember", spy_remember)
+    rng = np.random.default_rng(0)
+    weights = RewardWeights(query=0.7, memory=0.3)
+    for _ in range(4):
+        trainer._tsmdp_episode(trainer.dataset_factory(rng), weights)
+    assert len(terminal) >= 4
+    for n, reward in terminal:
+        q, m = leaf_cost(n, small_config)
+        assert reward == -(weights.query * q + weights.memory * m)
